@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
       for (index_t j = 0; j < k; ++j) {
         items.push_back(MultiQueryItem{
             seeds[static_cast<std::size_t>((done + j) % queries)],
-            QueryControl{}, TopKOptions{}});
+            QueryControl{}});
       }
       std::vector<MultiQueryResult> results;
       const Status status = solver.QueryMulti(items, &results);

@@ -136,10 +136,10 @@ Status BepiSolver::Preprocess(const Graph& g, CheckpointManager* checkpoints) {
 void BepiSolver::BindQueryKernels() {
   kernels_ = std::make_unique<DecompositionKernels>(
       BindDecompositionKernels(dec_, GlobalKernelPath()));
-  // Bound tables for top-k pruning and eps error propagation: one O(nnz)
-  // pass over the back-substitution matrices, negligible next to the
-  // decomposition itself and valid until the matrices change.
-  topk_tables_ = std::make_unique<TopKBoundTables>(BuildTopKBoundTables(dec_));
+  // Eps error-bound factors: one O(nnz) pass over the back-substitution
+  // matrices, negligible next to the decomposition itself and valid until
+  // the matrices change.
+  bound_tables_ = BuildTopKBoundTables(dec_);
   if (ilu_.has_value()) ilu_->BindKernelPath(kernels_->path);
   BEPI_LOG(Info) << "kernel path " << KernelPathName(kernels_->path) << " ("
                  << kernels_->reason << ")";
@@ -207,32 +207,16 @@ Result<TopKResult> BepiSolver::QueryTopK(index_t seed, const TopKOptions& opts,
     }
     ctl.eps = opts.eps;
   }
-  const real_t c = options_.restart_prob;
-  const index_t n1 = dec_.n1, n2 = dec_.n2;
-  const index_t pos = dec_.perm[static_cast<std::size_t>(seed)];
-  Vector cq1(static_cast<std::size_t>(dec_.n1), 0.0);
-  Vector cq2(static_cast<std::size_t>(dec_.n2), 0.0);
-  Vector cq3(static_cast<std::size_t>(dec_.n3), 0.0);
-  if (pos < n1) {
-    cq1[static_cast<std::size_t>(pos)] = c;
-  } else if (pos < n1 + n2) {
-    cq2[static_cast<std::size_t>(pos - n1)] = c;
-  } else {
-    cq3[static_cast<std::size_t>(pos - n1 - n2)] = c;
-  }
   QueryStats local_stats;
   QueryStats* st = stats != nullptr ? stats : &local_stats;
+  BEPI_ASSIGN_OR_RETURN(Vector scores, Query(seed, st, workspace, ctl));
+  if (MetricsEnabled()) {
+    BEPI_METRIC_COUNTER(queries, "topk.queries");
+    queries->Increment();
+  }
   TopKResult out;
-  BEPI_ASSIGN_OR_RETURN(
-      Vector full, SolveFromSlices(cq1, cq2, cq3, st, workspace, ctl, &opts,
-                                   &out));
-  if (out.pruned) return out;
-  // A terminal stage (power iteration, MC walks) built the full vector:
-  // sort it the way the dense caller would, with the producing attempt's
-  // residual / confidence half-width as the honest bound.
-  out.entries = TopK(full, opts.k, opts.exclude);
-  out.error_bound = st->error_bound > 0.0 ? st->error_bound : st->residual;
-  CountTopKDenseFallback();
+  out.entries = TopK(scores, opts.k, opts.exclude);
+  out.error_bound = st->error_bound;
   return out;
 }
 
@@ -283,7 +267,7 @@ real_t BepiSolver::EpsErrorBound(const Vector& q2_tilde,
   kernels_->schur.ResidualInto(r2, q2_tilde, &rho);
   real_t norm1 = 0.0;
   for (real_t v : rho) norm1 += std::abs(v);
-  return ScoreErrorBound(*topk_tables_, norm1, options_.restart_prob);
+  return ScoreErrorBound(bound_tables_, norm1, options_.restart_prob);
 }
 
 bool BepiSolver::McWarmStart(const Vector& cq1, const Vector& cq2,
@@ -337,9 +321,7 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
                                            const Vector& cq3,
                                            QueryStats* stats,
                                            GmresWorkspace* workspace,
-                                           const QueryControl& control,
-                                           const TopKOptions* topk,
-                                           TopKResult* topk_out) const {
+                                           const QueryControl& control) const {
   Timer timer;
   TraceSpan query_span("query");
   if (control.request_id != nullptr) {
@@ -460,12 +442,7 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
       cq.insert(cq.end(), cq1.begin(), cq1.end());
       cq.insert(cq.end(), cq2.begin(), cq2.end());
       cq.insert(cq.end(), cq3.begin(), cq3.end());
-      Result<Vector> power =
-          SupportsGlobalPowerFallback(dec_)
-              ? GlobalPowerFallback(dec_, cq, ropts, &report)
-              : Result<Vector>(Status::FailedPrecondition(
-                    "decomposition lacks H11/H22 (model predates format "
-                    "v2); global power fallback unavailable"));
+      Result<Vector> power = GlobalPowerFallback(dec_, cq, ropts, &report);
       if (power.ok()) {
         Vector r = std::move(power).value();
         auto at = [&r](index_t i) {
@@ -480,8 +457,7 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
           return cancelled_early();
         }
       } else if (mc_ != nullptr &&
-                 (power.status().code() == StatusCode::kNotConverged ||
-                  power.status().code() == StatusCode::kFailedPrecondition)) {
+                 power.status().code() == StatusCode::kNotConverged) {
         // Hop 5: the Monte-Carlo terminal stage. Every linear-algebra
         // stage — all of which share the preprocessed factors — has
         // failed, so the query is answered from the raw graph instead:
@@ -516,10 +492,6 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
           }
         }
         back_substitute = false;
-      } else if (power.status().code() == StatusCode::kFailedPrecondition) {
-        // Pre-v2 model and no MC engine attached: the pre-resilience
-        // behavior, surfacing the Krylov chain's verdict.
-        return schur_solve.status();
       } else {
         return power.status();
       }
@@ -528,63 +500,16 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
     }
   }
 
-  // The honest eps-mode bound is computed from the iterate the Krylov
-  // chain actually hands to back-substitution, partial iterates included.
-  real_t eps_bound = 0.0;
-  if (control.eps > 0.0 && back_substitute) {
-    eps_bound = EpsErrorBound(q2_tilde, r2);
-  }
-  // Terminal-stage answers (power/MC full vectors) owe a bound too when
-  // one was asked for. The MC half-width already is a per-coordinate
-  // bound; the power stage's scalar residual is NOT, so recompute the
-  // true full-system residual rho = c q - H r and bound via ||rho||_1/c.
-  real_t terminal_bound = 0.0;
-  if (!back_substitute && (control.eps > 0.0 || topk != nullptr) &&
-      !report.attempts.empty()) {
-    const SolveAttempt& producing = report.attempts.back();
-    if (producing.stage != "power" || !SupportsGlobalPowerFallback(dec_)) {
-      terminal_bound = producing.residual;
-    } else {
-      Vector rho1 = cq1, rho2 = cq2, rho3 = cq3;
-      if (n1 > 0) {
-        dec_.h11.MultiplyAdd(-1.0, r1, &rho1);
-        if (n2 > 0) dec_.h12.MultiplyAdd(-1.0, r2, &rho1);
-        if (n3 > 0) dec_.h31.MultiplyAdd(-1.0, r1, &rho3);
-      }
-      if (n2 > 0) {
-        if (n1 > 0) dec_.h21.MultiplyAdd(-1.0, r1, &rho2);
-        dec_.h22.MultiplyAdd(-1.0, r2, &rho2);
-        if (n3 > 0) dec_.h32.MultiplyAdd(-1.0, r2, &rho3);
-      }
-      real_t norm1 = 0.0;
-      for (real_t v : rho1) norm1 += std::abs(v);
-      for (real_t v : rho2) norm1 += std::abs(v);
-      for (index_t i = 0; i < n3; ++i) {
-        norm1 += std::abs(rho3[static_cast<std::size_t>(i)] -
-                          r3[static_cast<std::size_t>(i)]);
-      }
-      terminal_bound = FullSystemScoreBound(norm1, options_.restart_prob);
+  // Every answer that is not an exact converged solve owes an honest
+  // per-score bound (QueryStats::error_bound).
+  real_t error_bound = 0.0;
+  if (back_substitute) {
+    // Eps-truncated and partial iterates: the bound follows from the true
+    // Schur residual of the iterate the Krylov chain handed over.
+    if (control.eps > 0.0 ||
+        report.final_outcome == SolveOutcome::kCancelled) {
+      error_bound = EpsErrorBound(q2_tilde, r2);
     }
-  }
-  bool topk_answered = false;
-  if (topk != nullptr && back_substitute) {
-    // Pruned top-k back-substitution: valid for ANY Schur iterate the
-    // chain returns (whichever hop produced it, converged or partial),
-    // because the dense path would back-substitute the very same r2 — the
-    // pruning bounds only have to contain that dense result.
-    TraceSpan topk_span("query.topk_backsub");
-    real_t bound = eps_bound;
-    if (bound == 0.0 && report.final_outcome == SolveOutcome::kCancelled) {
-      // Exact-mode partial result: the truncation error is real, report
-      // the same residual-derived bound eps mode would.
-      bound = EpsErrorBound(q2_tilde, r2);
-    }
-    *topk_out = PrunedTopK(dec_, *topk_tables_, inverse_perm_,
-                           kern.schur.compact(), cq1, cq3, r2, bound, *topk);
-    topk_span.Arg("candidates", topk_out->candidates);
-    topk_span.Arg("pruned_rows", topk_out->pruned_rows);
-    topk_answered = true;
-  } else if (back_substitute) {
     TraceSpan backsub_span("query.back_substitution");
     // r1 = U1^{-1} (L1^{-1} (c q1 - H12 r2))  (line 5).
     if (n1 > 0) {
@@ -598,28 +523,51 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
       if (n1 > 0) kern.h31.MultiplyAdd(-1.0, r1, &r3);
       if (n2 > 0) kern.h32.MultiplyAdd(-1.0, r2, &r3);
     }
+  } else if (report.attempts.back().stage != "power") {
+    // The MC terminal stage's confidence half-width already is a
+    // per-coordinate bound.
+    error_bound = report.attempts.back().residual;
+  } else {
+    // The power stage's scalar residual is NOT a per-score bound:
+    // recompute the true full-system residual rho = c q - H r and bound
+    // via ||rho||_1/c.
+    Vector rho1 = cq1, rho2 = cq2, rho3 = cq3;
+    if (n1 > 0) {
+      dec_.h11.MultiplyAdd(-1.0, r1, &rho1);
+      if (n2 > 0) dec_.h12.MultiplyAdd(-1.0, r2, &rho1);
+      if (n3 > 0) dec_.h31.MultiplyAdd(-1.0, r1, &rho3);
+    }
+    if (n2 > 0) {
+      if (n1 > 0) dec_.h21.MultiplyAdd(-1.0, r1, &rho2);
+      dec_.h22.MultiplyAdd(-1.0, r2, &rho2);
+      if (n3 > 0) dec_.h32.MultiplyAdd(-1.0, r2, &rho3);
+    }
+    real_t norm1 = 0.0;
+    for (real_t v : rho1) norm1 += std::abs(v);
+    for (real_t v : rho2) norm1 += std::abs(v);
+    for (index_t i = 0; i < n3; ++i) {
+      norm1 += std::abs(rho3[static_cast<std::size_t>(i)] -
+                        r3[static_cast<std::size_t>(i)]);
+    }
+    error_bound = FullSystemScoreBound(norm1, options_.restart_prob);
   }
 
-  // Concatenate and undo the node reordering (line 7). A pruned top-k
-  // answer skips this: its deliverable is topk_out's sorted pairs.
-  Vector result;
-  if (!topk_answered) {
-    result.resize(static_cast<std::size_t>(dec_.n));
-    for (index_t i = 0; i < n1; ++i) {
-      result[static_cast<std::size_t>(
-          inverse_perm_[static_cast<std::size_t>(i)])] =
-          r1[static_cast<std::size_t>(i)];
-    }
-    for (index_t i = 0; i < n2; ++i) {
-      result[static_cast<std::size_t>(
-          inverse_perm_[static_cast<std::size_t>(n1 + i)])] =
-          r2[static_cast<std::size_t>(i)];
-    }
-    for (index_t i = 0; i < n3; ++i) {
-      result[static_cast<std::size_t>(
-          inverse_perm_[static_cast<std::size_t>(n1 + n2 + i)])] =
-          r3[static_cast<std::size_t>(i)];
-    }
+  // Concatenate and undo the node reordering (line 7).
+  Vector result(static_cast<std::size_t>(dec_.n));
+  for (index_t i = 0; i < n1; ++i) {
+    result[static_cast<std::size_t>(
+        inverse_perm_[static_cast<std::size_t>(i)])] =
+        r1[static_cast<std::size_t>(i)];
+  }
+  for (index_t i = 0; i < n2; ++i) {
+    result[static_cast<std::size_t>(
+        inverse_perm_[static_cast<std::size_t>(n1 + i)])] =
+        r2[static_cast<std::size_t>(i)];
+  }
+  for (index_t i = 0; i < n3; ++i) {
+    result[static_cast<std::size_t>(
+        inverse_perm_[static_cast<std::size_t>(n1 + n2 + i)])] =
+        r3[static_cast<std::size_t>(i)];
   }
   const double seconds = timer.Seconds();
   if (MetricsEnabled()) {
@@ -650,18 +598,12 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
       stats->iterations = producing.iterations;
       stats->residual = producing.residual;
       stats->outcome = producing.outcome;
-      // Eps mode owes a sup-norm bound however the query was answered:
-      // the residual-derived one when back-substitution ran, the
-      // producing stage's own error metric (power residual, MC confidence
-      // half-width) when a terminal stage built the vector directly.
-      if (control.eps > 0.0 || (topk != nullptr && !back_substitute)) {
-        stats->error_bound = back_substitute ? eps_bound : terminal_bound;
-      }
     } else {
       stats->iterations = 0;
       stats->residual = 0.0;
       stats->outcome = SolveOutcome::kConverged;
     }
+    stats->error_bound = error_bound;
     stats->report = std::move(report);
   }
   return result;
@@ -682,19 +624,6 @@ Status BepiSolver::QueryMulti(const std::vector<MultiQueryItem>& items,
   // chain.
   auto solo = [&](std::size_t j) {
     MultiQueryResult& res = (*results)[j];
-    if (items[j].topk.k > 0) {
-      Result<TopKResult> r = QueryTopK(items[j].seed, items[j].topk,
-                                       &res.stats, /*workspace=*/nullptr,
-                                       items[j].control);
-      if (r.ok()) {
-        res.topk = std::move(r).value();
-        res.status = Status::Ok();
-      } else {
-        res.status = r.status();
-      }
-      res.coalesced = false;
-      return;
-    }
     Result<Vector> r = Query(items[j].seed, &res.stats, /*workspace=*/nullptr,
                              items[j].control);
     if (r.ok()) {
@@ -729,20 +658,12 @@ Status BepiSolver::QueryMulti(const std::vector<MultiQueryItem>& items,
       (*results)[j].status = Status::OutOfRange("seed out of range");
       continue;
     }
-    // Eps-mode top-k items solve solo: their truncated tolerance must not
-    // leak into the lockstep solve of coalesced neighbors. Invalid k also
-    // routes through solo so QueryTopK's validation names the error.
-    // Exact top-k items stay blockable — only their back-substitution
-    // differs from a dense column.
-    const TopKOptions& tk = items[j].topk;
-    if (tk.k > 0 && (tk.mode == TopKMode::kEps || tk.k > dec_.n)) {
-      solo(j);
-      continue;
-    }
-    // A warm-started item's iterate sequence differs from the zero-start
-    // blocked solve; keep the bit-identical-to-solo contract by solving it
-    // solo.
-    if (items[j].control.warm_start_mc && mc_ != nullptr) {
+    // Eps items solve solo: their truncated tolerance must not leak into
+    // the lockstep solve of coalesced neighbors. A warm-started item's
+    // iterate sequence differs from the zero-start blocked solve; keep the
+    // bit-identical-to-solo contract by solving it solo too.
+    if (items[j].control.eps > 0.0 ||
+        (items[j].control.warm_start_mc && mc_ != nullptr)) {
       solo(j);
       continue;
     }
@@ -839,18 +760,68 @@ Status BepiSolver::QueryMulti(const std::vector<MultiQueryItem>& items,
   }
   if (conv.empty()) return Status::Ok();
 
-  // Exact top-k columns skip the dense panel back-substitution: each gets
-  // a pruned per-column pass over its converged r2 instead (bit-identical
-  // to the solo path by BlockGmres's per-column contract).
-  std::vector<std::size_t> conv_dense, conv_topk;
-  for (std::size_t jj : conv) {
-    (items[blockable[jj]].topk.k > 0 ? conv_topk : conv_dense).push_back(jj);
+  // Blocked back-substitution (Algorithm 4 lines 5-6 over panels):
+  //   r1 = H11^{-1} (c q1 - H12 r2),  r3 = c q3 - H31 r1 - H32 r2.
+  const index_t kc = static_cast<index_t>(conv.size());
+  const std::size_t kcz = static_cast<std::size_t>(kc);
+  std::vector<real_t> r2_panel(static_cast<std::size_t>(n2) * kcz);
+  for (std::size_t q = 0; q < kcz; ++q) {
+    const Vector& x = bcols[conv[q]].x;
+    for (index_t i = 0; i < n2; ++i) {
+      r2_panel[static_cast<std::size_t>(i) * kcz + q] =
+          x[static_cast<std::size_t>(i)];
+    }
+  }
+  std::vector<real_t> r1_panel, r3_panel;
+  {
+    TraceSpan backsub_span("query.back_substitution");
+    if (n1 > 0) {
+      std::vector<real_t> rhs1(static_cast<std::size_t>(n1) * kcz, 0.0);
+      for (std::size_t q = 0; q < kcz; ++q) {
+        const index_t pos = pos_of[conv[q]];
+        if (pos < n1) rhs1[static_cast<std::size_t>(pos) * kcz + q] = c;
+      }
+      kern.h12.MultiplyAddMulti(-1.0, r2_panel.data(), kc, rhs1.data());
+      r1_panel.resize(static_cast<std::size_t>(n1) * kcz);
+      kern.ApplyH11InverseMulti(rhs1.data(), kc, r1_panel.data(), &panel_tmp);
+    }
+    r3_panel.assign(static_cast<std::size_t>(n3) * kcz, 0.0);
+    for (std::size_t q = 0; q < kcz; ++q) {
+      const index_t pos = pos_of[conv[q]];
+      if (pos >= n1 + n2) {
+        r3_panel[static_cast<std::size_t>(pos - n1 - n2) * kcz + q] = c;
+      }
+    }
+    if (n3 > 0) {
+      if (n1 > 0) kern.h31.MultiplyAddMulti(-1.0, r1_panel.data(), kc,
+                                            r3_panel.data());
+      kern.h32.MultiplyAddMulti(-1.0, r2_panel.data(), kc, r3_panel.data());
+    }
   }
 
-  // Fills attempt/report/metrics/stats for a coalesced primary-hop
-  // success, identically for dense and top-k columns.
+  // Reassemble each converged column (line 7) and fill its stats exactly
+  // the way the scalar tail does for a primary-hop success.
   const double seconds = timer.Seconds();
-  const auto finish_col = [&](std::size_t jj, MultiQueryResult* res) {
+  for (std::size_t q = 0; q < kcz; ++q) {
+    const std::size_t jj = conv[q];
+    MultiQueryResult& res = (*results)[blockable[jj]];
+    res.scores.resize(static_cast<std::size_t>(dec_.n));
+    for (index_t i = 0; i < n1; ++i) {
+      res.scores[static_cast<std::size_t>(
+          inverse_perm_[static_cast<std::size_t>(i)])] =
+          r1_panel[static_cast<std::size_t>(i) * kcz + q];
+    }
+    for (index_t i = 0; i < n2; ++i) {
+      res.scores[static_cast<std::size_t>(
+          inverse_perm_[static_cast<std::size_t>(n1 + i)])] =
+          r2_panel[static_cast<std::size_t>(i) * kcz + q];
+    }
+    for (index_t i = 0; i < n3; ++i) {
+      res.scores[static_cast<std::size_t>(
+          inverse_perm_[static_cast<std::size_t>(n1 + n2 + i)])] =
+          r3_panel[static_cast<std::size_t>(i) * kcz + q];
+    }
+
     SolveAttempt attempt;
     attempt.stage = stage;
     attempt.outcome = SolveOutcome::kConverged;
@@ -881,100 +852,14 @@ Status BepiSolver::QueryMulti(const std::vector<MultiQueryItem>& items,
       hops->Increment(static_cast<std::uint64_t>(report.fallback_hops()));
       latency->RecordAlways(seconds);
     }
-    res->coalesced = true;
-    res->status = Status::Ok();
-    res->stats.seconds = seconds;
-    res->stats.total_iterations = report.total_iterations();
-    res->stats.iterations = attempt.iterations;
-    res->stats.residual = attempt.residual;
-    res->stats.outcome = attempt.outcome;
-    res->stats.report = std::move(report);
-  };
-
-  // Blocked back-substitution (Algorithm 4 lines 5-6 over panels):
-  //   r1 = H11^{-1} (c q1 - H12 r2),  r3 = c q3 - H31 r1 - H32 r2.
-  if (!conv_dense.empty()) {
-    const index_t kc = static_cast<index_t>(conv_dense.size());
-    const std::size_t kcz = static_cast<std::size_t>(kc);
-    std::vector<real_t> r2_panel(static_cast<std::size_t>(n2) * kcz);
-    for (std::size_t q = 0; q < kcz; ++q) {
-      const Vector& x = bcols[conv_dense[q]].x;
-      for (index_t i = 0; i < n2; ++i) {
-        r2_panel[static_cast<std::size_t>(i) * kcz + q] =
-            x[static_cast<std::size_t>(i)];
-      }
-    }
-    std::vector<real_t> r1_panel, r3_panel;
-    {
-      TraceSpan backsub_span("query.back_substitution");
-      if (n1 > 0) {
-        std::vector<real_t> rhs1(static_cast<std::size_t>(n1) * kcz, 0.0);
-        for (std::size_t q = 0; q < kcz; ++q) {
-          const index_t pos = pos_of[conv_dense[q]];
-          if (pos < n1) rhs1[static_cast<std::size_t>(pos) * kcz + q] = c;
-        }
-        kern.h12.MultiplyAddMulti(-1.0, r2_panel.data(), kc, rhs1.data());
-        r1_panel.resize(static_cast<std::size_t>(n1) * kcz);
-        kern.ApplyH11InverseMulti(rhs1.data(), kc, r1_panel.data(),
-                                  &panel_tmp);
-      }
-      r3_panel.assign(static_cast<std::size_t>(n3) * kcz, 0.0);
-      for (std::size_t q = 0; q < kcz; ++q) {
-        const index_t pos = pos_of[conv_dense[q]];
-        if (pos >= n1 + n2) {
-          r3_panel[static_cast<std::size_t>(pos - n1 - n2) * kcz + q] = c;
-        }
-      }
-      if (n3 > 0) {
-        if (n1 > 0) kern.h31.MultiplyAddMulti(-1.0, r1_panel.data(), kc,
-                                              r3_panel.data());
-        kern.h32.MultiplyAddMulti(-1.0, r2_panel.data(), kc, r3_panel.data());
-      }
-    }
-
-    // Reassemble each dense converged column (line 7) and fill its stats
-    // exactly the way the scalar tail does for a primary-hop success.
-    for (std::size_t q = 0; q < kcz; ++q) {
-      const std::size_t jj = conv_dense[q];
-      MultiQueryResult& res = (*results)[blockable[jj]];
-      res.scores.resize(static_cast<std::size_t>(dec_.n));
-      for (index_t i = 0; i < n1; ++i) {
-        res.scores[static_cast<std::size_t>(
-            inverse_perm_[static_cast<std::size_t>(i)])] =
-            r1_panel[static_cast<std::size_t>(i) * kcz + q];
-      }
-      for (index_t i = 0; i < n2; ++i) {
-        res.scores[static_cast<std::size_t>(
-            inverse_perm_[static_cast<std::size_t>(n1 + i)])] =
-            r2_panel[static_cast<std::size_t>(i) * kcz + q];
-      }
-      for (index_t i = 0; i < n3; ++i) {
-        res.scores[static_cast<std::size_t>(
-            inverse_perm_[static_cast<std::size_t>(n1 + n2 + i)])] =
-            r3_panel[static_cast<std::size_t>(i) * kcz + q];
-      }
-      finish_col(jj, &res);
-    }
-  }
-
-  // Exact top-k columns: pruned back-substitution over each converged r2
-  // column. score_bound 0 — the column met the solver tolerance, so the
-  // hub scores are as exact as a solo converged solve's.
-  for (std::size_t jj : conv_topk) {
-    const std::size_t j = blockable[jj];
-    MultiQueryResult& res = (*results)[j];
-    const index_t pos = pos_of[jj];
-    Vector cq1_j(static_cast<std::size_t>(n1), 0.0);
-    Vector cq3_j(static_cast<std::size_t>(n3), 0.0);
-    if (pos < n1) {
-      cq1_j[static_cast<std::size_t>(pos)] = c;
-    } else if (pos >= n1 + n2) {
-      cq3_j[static_cast<std::size_t>(pos - n1 - n2)] = c;
-    }
-    res.topk = PrunedTopK(dec_, *topk_tables_, inverse_perm_,
-                          kern.schur.compact(), cq1_j, cq3_j, bcols[jj].x,
-                          /*score_bound=*/0.0, items[j].topk);
-    finish_col(jj, &res);
+    res.coalesced = true;
+    res.status = Status::Ok();
+    res.stats.seconds = seconds;
+    res.stats.total_iterations = report.total_iterations();
+    res.stats.iterations = attempt.iterations;
+    res.stats.residual = attempt.residual;
+    res.stats.outcome = attempt.outcome;
+    res.stats.report = std::move(report);
   }
   return Status::Ok();
 }
@@ -1063,19 +948,15 @@ std::uint64_t BepiSolver::PreprocessedBytes() const {
 
 namespace {
 
-// v2 appends H11 and H22 so loaded models can take the global
-// power-iteration fallback; v1 models are still readable (the fallback is
-// then unavailable). v3 keeps v2's content but frames every piece
-// (options, permutation, each matrix) as a length- and CRC32C-carrying
-// section with a trailing manifest (common/sections.hpp), so any
-// corruption is detected at load and attributed to a section.
-constexpr char kModelHeaderV1[] = "BEPI-MODEL v1";
-constexpr char kModelHeaderV2[] = "BEPI-MODEL v2";
+// v3 frames every piece of the model (options, permutation, each matrix)
+// as a length- and CRC32C-carrying section with a trailing manifest
+// (common/sections.hpp), so any corruption is detected at load and
+// attributed to a section. Earlier unframed formats are not read:
+// preprocessing regenerates a model.
 constexpr char kModelHeaderV3[] = "BEPI-MODEL v3";
 
 /// The nine stored matrices in serialization order with their shapes in
-/// terms of the partition sizes. H11/H22 (slots 7 and 8) are the v2
-/// additions absent from v1 files.
+/// terms of the partition sizes.
 struct MatrixSpec {
   const char* name;
   CsrMatrix HubSpokeDecomposition::*member;
@@ -1117,18 +998,20 @@ Status ParseModelOptions(std::istream& in, BepiOptions* options) {
   return Status::Ok();
 }
 
-/// Parses "n n1 n2 n3" followed by n permutation entries. `limit_bytes`
-/// caps n before the resize: each entry takes at least two bytes of input,
-/// so a size line claiming more entries than bytes is rejected without
-/// allocating (allocation-bomb hardening, satellite of the v3 work).
-Status ParseSizesAndPerm(std::istream& in, std::int64_t limit_bytes,
+/// Parses the "perm" section: "n n1 n2 n3" followed by n permutation
+/// entries. Each entry takes at least two bytes, so a size line claiming
+/// more entries than the payload holds is rejected before the resize
+/// (allocation-bomb hardening).
+Status ParseSizesAndPerm(const std::string& payload,
                          HubSpokeDecomposition* dec) {
+  std::istringstream in(payload);
   in >> dec->n >> dec->n1 >> dec->n2 >> dec->n3;
   if (!in || dec->n < 0 || dec->n1 < 0 || dec->n2 < 0 || dec->n3 < 0 ||
       dec->n1 + dec->n2 + dec->n3 != dec->n) {
     return Status::IoError("malformed BePI model partition sizes");
   }
-  if (limit_bytes >= 0 && dec->n > limit_bytes / 2 + 1) {
+  const std::int64_t limit_bytes = static_cast<std::int64_t>(payload.size());
+  if (dec->n > limit_bytes / 2 + 1) {
     return Status::IoError(
         "BePI model claims " + std::to_string(dec->n) +
         " nodes but only " + std::to_string(limit_bytes) +
@@ -1171,9 +1054,9 @@ Status BepiSolver::Save(std::ostream& out) const {
     BEPI_RETURN_IF_ERROR(WriteMatrixMarket(dec_.*spec.member, payload));
     BEPI_RETURN_IF_ERROR(writer.Add(spec.name, payload.str()));
   }
-  // Spoke block layout, consumed by the top-k pruning tables
-  // (core/topk.hpp). Trailing so pre-topk readers drain it untouched;
-  // loaders of older files fall back to a single coarse block.
+  // Spoke block layout, consumed by the eps bound tables (core/topk.hpp).
+  // Optional on load: without it the tables fall back to one coarse
+  // block.
   if (!dec_.block_sizes.empty()) {
     std::ostringstream payload;
     payload << dec_.block_sizes.size() << "\n";
@@ -1198,7 +1081,14 @@ Status BepiSolver::SaveFile(const std::string& path) const {
   return writer.Commit();
 }
 
-Result<BepiSolver> BepiSolver::LoadV3(std::istream& in) {
+Result<BepiSolver> BepiSolver::Load(std::istream& in) {
+  std::string header;
+  if (!std::getline(in, header)) {
+    return Status::IoError("empty BePI model stream");
+  }
+  if (header != kModelHeaderV3) {
+    return Status::IoError("not a BePI model stream (bad header)");
+  }
   SectionReader reader(
       in, static_cast<std::uint64_t>(
               std::char_traits<char>::length(kModelHeaderV3)) + 1);
@@ -1211,12 +1101,7 @@ Result<BepiSolver> BepiSolver::LoadV3(std::istream& in) {
   BepiSolver solver(options);
   HubSpokeDecomposition& dec = solver.dec_;
   BEPI_ASSIGN_OR_RETURN(Section perm_section, reader.Expect("perm"));
-  {
-    std::istringstream perm_in(perm_section.payload);
-    BEPI_RETURN_IF_ERROR(ParseSizesAndPerm(
-        perm_in, static_cast<std::int64_t>(perm_section.payload.size()),
-        &dec));
-  }
+  BEPI_RETURN_IF_ERROR(ParseSizesAndPerm(perm_section.payload, &dec));
   for (const MatrixSpec& spec : kMatrixSpecs) {
     BEPI_ASSIGN_OR_RETURN(Section section, reader.Expect(spec.name));
     std::istringstream matrix_in(section.payload);
@@ -1231,9 +1116,9 @@ Result<BepiSolver> BepiSolver::LoadV3(std::istream& in) {
   while (!reader.done()) {
     BEPI_ASSIGN_OR_RETURN(std::optional<Section> extra, reader.Next());
     if (!extra.has_value() || extra->name != "blocks") continue;
-    // Spoke block layout for the top-k pruning tables. Strictly
-    // optional: a malformed or missing section only costs pruning
-    // granularity (single-block fallback), never the load.
+    // Spoke block layout for the eps bound tables. Strictly optional: a
+    // malformed or missing section only loosens the bound (single-block
+    // fallback), never fails the load.
     std::istringstream blocks_in(extra->payload);
     std::int64_t nb = 0;
     blocks_in >> nb;
@@ -1259,38 +1144,6 @@ Result<BepiSolver> BepiSolver::LoadV3(std::istream& in) {
       continue;
     }
     dec.block_sizes = std::move(sizes);
-  }
-  BEPI_RETURN_IF_ERROR(solver.FinalizeLoaded());
-  return solver;
-}
-
-Result<BepiSolver> BepiSolver::Load(std::istream& in) {
-  std::string header;
-  if (!std::getline(in, header)) {
-    return Status::IoError("empty BePI model stream");
-  }
-  if (header == kModelHeaderV3) return LoadV3(in);
-  if (header != kModelHeaderV1 && header != kModelHeaderV2) {
-    return Status::IoError("not a BePI model stream (bad header)");
-  }
-  const bool v2 = header == kModelHeaderV2;
-  BepiOptions options;
-  BEPI_RETURN_IF_ERROR(ParseModelOptions(in, &options));
-
-  BepiSolver solver(options);
-  HubSpokeDecomposition& dec = solver.dec_;
-  BEPI_RETURN_IF_ERROR(
-      ParseSizesAndPerm(in, StreamRemainingBytes(in), &dec));
-  in.ignore(1, '\n');
-  const std::size_t num_matrices =
-      v2 ? std::size(kMatrixSpecs) : std::size(kMatrixSpecs) - 2;
-  for (std::size_t i = 0; i < num_matrices; ++i) {
-    const MatrixSpec& spec = kMatrixSpecs[i];
-    // Expected shapes are known from the partition sizes; passing them
-    // rejects dimension bombs before any allocation.
-    BEPI_ASSIGN_OR_RETURN(
-        dec.*spec.member,
-        ReadMatrixMarket(in, dec.*spec.rows, dec.*spec.cols));
   }
   BEPI_RETURN_IF_ERROR(solver.FinalizeLoaded());
   return solver;

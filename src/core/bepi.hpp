@@ -109,13 +109,6 @@ struct QueryControl {
 struct MultiQueryItem {
   index_t seed = 0;
   QueryControl control;
-  /// Top-k execution request (core/topk.hpp). topk.k == 0 (the default)
-  /// answers densely; topk.k >= 1 makes the result's `topk` field the
-  /// deliverable (scores stays empty). Exact-mode top-k items still join
-  /// the blocked Schur solve — only their back-substitution is pruned per
-  /// column — while eps-mode items solve solo (their truncated tolerance
-  /// must not leak into coalesced neighbors).
-  TopKOptions topk;
 };
 
 /// Per-seed verdict of QueryMulti. `scores`/`stats` are meaningful only
@@ -129,8 +122,6 @@ struct MultiQueryResult {
   Vector scores;
   QueryStats stats;
   bool coalesced = false;
-  /// Filled (and `scores` left empty) when the item requested top-k.
-  TopKResult topk;
 };
 
 /// Structural metadata produced by preprocessing; consumed by the
@@ -199,21 +190,19 @@ class BepiSolver final : public RwrSolver {
   /// breakdown) is transparently re-solved through the ordinary scalar
   /// Query path — its own degradation chain, its own QueryControl — so a
   /// misbehaving seed degrades alone and every returned vector is
-  /// bit-identical to a solo Query of the same seed. The returned Status
-  /// covers batch-level preconditions only; per-seed failures land in
-  /// each MultiQueryResult::status.
+  /// bit-identical to a solo Query of the same seed. Items with
+  /// control.eps > 0 always solve alone: their truncated tolerance must
+  /// not leak into the lockstep solve. The returned Status covers
+  /// batch-level preconditions only; per-seed failures land in each
+  /// MultiQueryResult::status.
   Status QueryMulti(const std::vector<MultiQueryItem>& items,
                     std::vector<MultiQueryResult>* results) const;
-  /// Top-k query (core/topk.hpp): a converged Schur solve followed by
-  /// pruned back-substitution that touches only rows which could enter the
-  /// top k. Exact mode returns entries byte-identical to
-  /// TopK(Query(seed), k, opts.exclude); eps mode stops the Schur solve at
-  /// opts.eps and reports the honest per-score bound in
-  /// TopKResult::error_bound (mirrored into stats->error_bound). When the
-  /// solve degrades off the clean converged path (fallback hops, partial
-  /// results, the BiCGSTAB ablation, power/MC stages) the query still
-  /// answers — a full solve is sorted instead, with the producing
-  /// attempt's residual as the bound and TopKResult::pruned == false.
+  /// Top-k query (core/topk.hpp): the dense Query — with control.eps set
+  /// to opts.eps in eps mode — ranked by TopK(scores, opts.k,
+  /// opts.exclude). Exact mode's entries are therefore byte-identical to
+  /// sorting Query(seed). TopKResult::error_bound is stats->error_bound:
+  /// 0 for an exact converged answer, else the honest per-score bound of
+  /// the eps truncation, partial result or power/MC terminal stage.
   Result<TopKResult> QueryTopK(index_t seed, const TopKOptions& opts,
                                QueryStats* stats = nullptr,
                                GmresWorkspace* workspace = nullptr,
@@ -257,18 +246,11 @@ class BepiSolver final : public RwrSolver {
 
  private:
   /// Runs Algorithm 4 given the already-partitioned scaled start vector
-  /// (c*q sliced along [n1 | n2 | n3] in reordered ids). With a non-null
-  /// `topk`, a Schur iterate that reaches back-substitution is answered by
-  /// the pruned top-k path instead: `*topk_out` is filled (pruned == true)
-  /// and the returned vector is empty. Degraded paths that produce the
-  /// full vector directly (power, MC) ignore `topk` and return the vector
-  /// for the caller to sort.
+  /// (c*q sliced along [n1 | n2 | n3] in reordered ids).
   Result<Vector> SolveFromSlices(const Vector& cq1, const Vector& cq2,
                                  const Vector& cq3, QueryStats* stats,
                                  GmresWorkspace* workspace,
-                                 const QueryControl& control,
-                                 const TopKOptions* topk = nullptr,
-                                 TopKResult* topk_out = nullptr) const;
+                                 const QueryControl& control) const;
 
   /// Shared eps-mode epilogue: computes the true Schur residual of `r2`
   /// against `q2_tilde` and returns the propagated sup-norm score bound.
@@ -280,10 +262,8 @@ class BepiSolver final : public RwrSolver {
   bool McWarmStart(const Vector& cq1, const Vector& cq2, const Vector& cq3,
                    const QueryControl& control, Vector* x0) const;
 
-  /// Sectioned, per-section-checksummed format (header already consumed).
-  static Result<BepiSolver> LoadV3(std::istream& in);
-  /// Shared tail of every Load path: recompute the ILU(0) preconditioner,
-  /// invert the permutation, rebuild the structural info fields.
+  /// Tail of Load: recompute the ILU(0) preconditioner, invert the
+  /// permutation, rebuild the structural info fields.
   Status FinalizeLoaded();
   /// Resolves --kernel/BEPI_KERNEL against the matrices, binds the
   /// DecompositionKernels views and the ILU(0) index width to that path,
@@ -307,9 +287,9 @@ class BepiSolver final : public RwrSolver {
   /// solver stays movable without rebinding: the views point into vector
   /// heap buffers, which moves do not relocate.
   std::unique_ptr<DecompositionKernels> kernels_;
-  /// Absolute-row-sum tables for top-k pruning and eps error bounds
-  /// (core/topk.hpp); rebuilt alongside the kernels in BindQueryKernels.
-  std::unique_ptr<TopKBoundTables> topk_tables_;
+  /// Amplification factors of the eps error bounds (core/topk.hpp);
+  /// rebuilt alongside the kernels in BindQueryKernels.
+  TopKBoundTables bound_tables_;
   Permutation inverse_perm_;  // new -> old
   BepiPreprocessInfo info_;
   bool preprocessed_ = false;

@@ -145,11 +145,6 @@ Result<Vector> ResilientSchurSolver::Solve(const Vector& b,
       "all Krylov stages of the Schur degradation chain failed");
 }
 
-bool SupportsGlobalPowerFallback(const HubSpokeDecomposition& dec) {
-  return dec.h11.rows() == dec.n1 && dec.h11.cols() == dec.n1 &&
-         dec.h22.rows() == dec.n2 && dec.h22.cols() == dec.n2;
-}
-
 namespace {
 
 /// y = (I - H) x assembled blockwise from the stored partitions of the
@@ -207,11 +202,6 @@ Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
                                    QueryReport* report) {
   if (static_cast<index_t>(cq.size()) != dec.n) {
     return Status::InvalidArgument("power fallback rhs size mismatch");
-  }
-  if (!SupportsGlobalPowerFallback(dec)) {
-    return Status::FailedPrecondition(
-        "decomposition lacks H11/H22 (model predates format v2); global "
-        "power fallback unavailable");
   }
   TraceSpan fallback_span("query.power_fallback");
   Timer hop_timer;

@@ -93,10 +93,6 @@ class ResilientSchurSolver {
   const LinearOperator* op_;
 };
 
-/// Whether `dec` retains the blocks needed by GlobalPowerFallback (models
-/// serialized before format v2 lack H11/H22 and cannot take the last hop).
-bool SupportsGlobalPowerFallback(const HubSpokeDecomposition& dec);
-
 /// Hop 4: power iteration r <- (I - H) r + cq on the full reordered
 /// system, assembled blockwise from the decomposition. `cq` is the scaled
 /// start vector c*q in reordered ids (length dec.n); the result is the

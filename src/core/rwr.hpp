@@ -70,9 +70,10 @@ struct QueryStats {
   /// solvers without structured reporting leave kConverged).
   SolveOutcome outcome = SolveOutcome::kConverged;
   /// Sup-norm bound on the per-score error of the returned vector vs the
-  /// true RWR solution, derived from the true Schur residual (see
-  /// core/topk.hpp ScoreErrorBound). Only eps-mode queries
-  /// (QueryControl::eps > 0 or TopKMode::kEps) fill it; 0 otherwise.
+  /// true RWR solution (core/topk.hpp). BePI fills it for every answer
+  /// that is not an exact converged solve — eps-mode truncation
+  /// (QueryControl::eps > 0), a partial result, a power/MC terminal
+  /// stage — and leaves 0 otherwise.
   real_t error_bound = 0.0;
   /// Degradation-chain trace (empty for solvers that do not report one).
   QueryReport report;

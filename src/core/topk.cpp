@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.hpp"
-#include "common/metrics.hpp"
 
 namespace bepi {
 namespace {
@@ -13,44 +11,28 @@ namespace {
 /// Rounding slack on every derived bound: the bound arithmetic itself and
 /// the kernel dot products it must dominate each round over a handful of
 /// operations, so a relative pad of 1e-6 (plus a denormal-proof absolute
-/// pad) keeps the bounds honest without costing measurable pruning power —
-/// true scores live many orders of magnitude above 1e-280.
+/// pad) keeps the bounds honest — true scores live many orders of
+/// magnitude above 1e-280.
 constexpr real_t kRelSlack = 1e-6;
 constexpr real_t kAbsSlack = 1e-280;
 
 inline real_t Pad(real_t v) { return v * (1.0 + kRelSlack) + kAbsSlack; }
 
-/// One dot product of matrix row `r` against `x`, in exactly the
-/// accumulation order of sparse/kernel.hpp RowDot — which both kernel
-/// paths and every thread partition preserve per row — so each candidate
-/// score is bit-identical to the dense solve's value.
-inline real_t RowDot(const CsrMatrix& m, index_t r, const real_t* x) {
-  const index_t* row_ptr = m.row_ptr().data();
-  const index_t* col_idx = m.col_idx().data();
-  const real_t* values = m.values().data();
-  real_t sum = 0.0;
-  const std::size_t end = static_cast<std::size_t>(row_ptr[r + 1]);
-  for (std::size_t p = static_cast<std::size_t>(row_ptr[r]); p < end; ++p) {
-    sum += values[p] * x[static_cast<std::size_t>(col_idx[p])];
-  }
-  return sum;
-}
-
-/// Absolute row sums of a CSR matrix (the sup-norm amplification of each
-/// output coordinate).
-std::vector<real_t> AbsRowSums(const CsrMatrix& m) {
-  std::vector<real_t> sums(static_cast<std::size_t>(m.rows()), 0.0);
+/// Largest absolute row sum over rows [begin, end) of a CSR matrix (the
+/// sup-norm amplification of those output coordinates).
+real_t MaxAbsRowSum(const CsrMatrix& m, index_t begin, index_t end) {
   const std::vector<index_t>& row_ptr = m.row_ptr();
   const std::vector<real_t>& values = m.values();
-  for (index_t r = 0; r < m.rows(); ++r) {
+  real_t max_sum = 0.0;
+  for (index_t r = begin; r < end; ++r) {
     real_t s = 0.0;
     for (index_t p = row_ptr[static_cast<std::size_t>(r)];
          p < row_ptr[static_cast<std::size_t>(r) + 1]; ++p) {
       s += std::abs(values[static_cast<std::size_t>(p)]);
     }
-    sums[static_cast<std::size_t>(r)] = s;
+    max_sum = std::max(max_sum, s);
   }
-  return sums;
+  return max_sum;
 }
 
 /// spmv.bytes traffic model for one SpMV over the whole matrix.
@@ -68,58 +50,27 @@ const char* TopKModeName(TopKMode mode) {
   return mode == TopKMode::kEps ? "eps" : "exact";
 }
 
-real_t TopKBoundTables::R1RowBound(index_t row, real_t r2_max) const {
-  const index_t b = row_block[static_cast<std::size_t>(row)];
-  return Pad(au[static_cast<std::size_t>(row)] *
-             block_al_max[static_cast<std::size_t>(b)] *
-             block_a12_max[static_cast<std::size_t>(b)] * r2_max);
-}
-
 TopKBoundTables BuildTopKBoundTables(const HubSpokeDecomposition& dec) {
   TopKBoundTables t;
-  // Models loaded without a block layout (files predating the "blocks"
-  // section) fall back to one block spanning every spoke: L1/U1 are block
-  // diagonal, hence trivially diagonal w.r.t. the single block, so every
-  // bound stays valid — spoke pruning just becomes all-or-nothing.
+  // A model without a block layout counts as one block spanning every
+  // spoke: L1/U1 are block diagonal, hence trivially diagonal w.r.t. the
+  // single block, so the bound stays valid (only looser).
   std::vector<index_t> sizes = dec.block_sizes;
   if (sizes.empty() && dec.n1 > 0) sizes.push_back(dec.n1);
-  const std::size_t nb = sizes.size();
-  t.block_start.resize(nb + 1, 0);
-  for (std::size_t b = 0; b < nb; ++b) {
-    t.block_start[b + 1] = t.block_start[b] + sizes[b];
-  }
-  BEPI_CHECK(nb == 0 || t.block_start[nb] == dec.n1);
-  t.row_block.resize(static_cast<std::size_t>(dec.n1));
-  for (std::size_t b = 0; b < nb; ++b) {
-    for (index_t i = t.block_start[b]; i < t.block_start[b + 1]; ++i) {
-      t.row_block[static_cast<std::size_t>(i)] = static_cast<index_t>(b);
-    }
-  }
-  t.au = AbsRowSums(dec.u1_inv);
-  t.a12 = AbsRowSums(dec.h12);
-  const std::vector<real_t> al = AbsRowSums(dec.l1_inv);
-  t.block_al_max.assign(nb, 0.0);
-  t.block_a12_max.assign(nb, 0.0);
-  std::vector<real_t> block_au_max(nb, 0.0);
-  for (index_t i = 0; i < dec.n1; ++i) {
-    const std::size_t b =
-        static_cast<std::size_t>(t.row_block[static_cast<std::size_t>(i)]);
-    t.block_al_max[b] =
-        std::max(t.block_al_max[b], al[static_cast<std::size_t>(i)]);
-    t.block_a12_max[b] =
-        std::max(t.block_a12_max[b], t.a12[static_cast<std::size_t>(i)]);
-    block_au_max[b] =
-        std::max(block_au_max[b], t.au[static_cast<std::size_t>(i)]);
-  }
-  for (std::size_t b = 0; b < nb; ++b) {
+  // dr1 = U1^{-1} L1^{-1} H12 dr2 stays inside each diagonal block, so the
+  // amplification is the worst block's product of row-sum maxima.
+  index_t begin = 0;
+  for (index_t size : sizes) {
+    const index_t end = begin + size;
     t.r1_coeff_max =
-        std::max(t.r1_coeff_max,
-                 block_au_max[b] * t.block_al_max[b] * t.block_a12_max[b]);
+        std::max(t.r1_coeff_max, MaxAbsRowSum(dec.u1_inv, begin, end) *
+                                     MaxAbsRowSum(dec.l1_inv, begin, end) *
+                                     MaxAbsRowSum(dec.h12, begin, end));
+    begin = end;
   }
-  t.a31 = AbsRowSums(dec.h31);
-  t.a32 = AbsRowSums(dec.h32);
-  for (real_t v : t.a31) t.a31_max = std::max(t.a31_max, v);
-  for (real_t v : t.a32) t.a32_max = std::max(t.a32_max, v);
+  BEPI_CHECK(begin == dec.n1);
+  t.a31_max = MaxAbsRowSum(dec.h31, 0, dec.h31.rows());
+  t.a32_max = MaxAbsRowSum(dec.h32, 0, dec.h32.rows());
   return t;
 }
 
@@ -146,237 +97,6 @@ std::uint64_t DenseBackSubstitutionBytes(const HubSpokeDecomposition& dec,
   return DenseSpmvBytes(dec.h12, idx) + DenseSpmvBytes(dec.l1_inv, idx) +
          DenseSpmvBytes(dec.u1_inv, idx) + DenseSpmvBytes(dec.h31, idx) +
          DenseSpmvBytes(dec.h32, idx);
-}
-
-void CountTopKDenseFallback() {
-  if (!MetricsEnabled()) return;
-  // Registered together with the counters PrunedTopK owns so any top-k
-  // activity publishes the full topk.* key set (the docs glossary
-  // cross-check relies on deterministic keys).
-  BEPI_METRIC_COUNTER(queries, "topk.queries");
-  BEPI_METRIC_COUNTER(candidates, "topk.candidates");
-  BEPI_METRIC_COUNTER(pruned_rows, "topk.pruned_rows");
-  BEPI_METRIC_COUNTER(bytes, "topk.bytes_touched");
-  BEPI_METRIC_COUNTER(fallbacks, "topk.dense_fallbacks");
-  (void)candidates;
-  (void)pruned_rows;
-  (void)bytes;
-  queries->Increment();
-  fallbacks->Increment();
-}
-
-TopKResult PrunedTopK(const HubSpokeDecomposition& dec,
-                      const TopKBoundTables& tables,
-                      const Permutation& inverse_perm, bool compact_path,
-                      const Vector& cq1, const Vector& cq3, const Vector& r2,
-                      real_t score_bound, const TopKOptions& opts) {
-  BEPI_CHECK(opts.k >= 1);
-  const index_t n1 = dec.n1, n2 = dec.n2, n3 = dec.n3, n = dec.n;
-  // Block layout from the tables, not dec.block_sizes: the tables
-  // synthesize a single block when the model carries no layout.
-  const std::size_t nb = tables.block_start.size() - 1;
-  const std::uint64_t idx_bytes = compact_path ? 4 : 8;
-  constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
-
-  TopKResult out;
-  out.error_bound = score_bound;
-  out.pruned = true;
-
-  real_t r2_max = 0.0;
-  for (real_t v : r2) r2_max = std::max(r2_max, std::abs(v));
-
-  // Per-row streaming cost of the pruned path: the row's slice of the
-  // index/value arrays, its two row_ptr entries, one operand read per
-  // stored entry and the output write.
-  auto touch_row = [&](const CsrMatrix& m, index_t r) {
-    const std::uint64_t len = static_cast<std::uint64_t>(m.RowNnz(r));
-    out.bytes_touched += len * (idx_bytes + 2 * sizeof(real_t)) +
-                         2 * idx_bytes + sizeof(real_t);
-  };
-
-  // Back-substitution scratch, full length but only filled blockwise:
-  // L1^{-1}/U1^{-1} are block diagonal, so rows of a computed block never
-  // read outside it, and H31 rows of candidates only read blocks the
-  // closure below forces computed.
-  Vector rhs1(static_cast<std::size_t>(n1), 0.0);
-  Vector s1(static_cast<std::size_t>(n1), 0.0);
-  Vector r1(static_cast<std::size_t>(n1), 0.0);
-  std::vector<char> computed(nb, 0);
-  // Replicates the dense sequence per row: rhs1 = cq1 - H12 r2 (the
-  // MultiplyAdd alpha = -1.0 form), then the two triangular solves as
-  // plain Multiply row dots.
-  auto compute_block = [&](index_t b) {
-    if (computed[static_cast<std::size_t>(b)]) return;
-    computed[static_cast<std::size_t>(b)] = 1;
-    const index_t bs = tables.block_start[static_cast<std::size_t>(b)];
-    const index_t be = tables.block_start[static_cast<std::size_t>(b) + 1];
-    for (index_t i = bs; i < be; ++i) {
-      rhs1[static_cast<std::size_t>(i)] =
-          cq1[static_cast<std::size_t>(i)] + (-1.0) * RowDot(dec.h12, i, r2.data());
-      touch_row(dec.h12, i);
-    }
-    for (index_t i = bs; i < be; ++i) {
-      s1[static_cast<std::size_t>(i)] = RowDot(dec.l1_inv, i, rhs1.data());
-      touch_row(dec.l1_inv, i);
-    }
-    for (index_t i = bs; i < be; ++i) {
-      r1[static_cast<std::size_t>(i)] = RowDot(dec.u1_inv, i, s1.data());
-      touch_row(dec.u1_inv, i);
-    }
-  };
-
-  // The seed's block (when the seed is a spoke) carries the c*q1 term no
-  // table bounds, so it is always computed up front; its rows then enter
-  // candidate selection with exact (zero-width) intervals.
-  index_t seed_pos = -1;
-  for (index_t i = 0; i < n1; ++i) {
-    if (cq1[static_cast<std::size_t>(i)] != 0.0) {
-      seed_pos = i;
-      compute_block(tables.row_block[static_cast<std::size_t>(i)]);
-    }
-  }
-  (void)seed_pos;
-
-  // Score intervals per reordered position: [lb, ub] always contains the
-  // dense solve's computed value for that node.
-  Vector lb(static_cast<std::size_t>(n)), ub(static_cast<std::size_t>(n));
-  real_t r1_max = Pad(tables.r1_coeff_max * r2_max);
-  for (std::size_t b = 0; b < nb; ++b) {
-    if (!computed[b]) continue;
-    for (index_t i = tables.block_start[b]; i < tables.block_start[b + 1];
-         ++i) {
-      r1_max = std::max(r1_max, std::abs(r1[static_cast<std::size_t>(i)]));
-    }
-  }
-  for (index_t i = 0; i < n1; ++i) {
-    if (computed[static_cast<std::size_t>(
-            tables.row_block[static_cast<std::size_t>(i)])]) {
-      lb[static_cast<std::size_t>(i)] = ub[static_cast<std::size_t>(i)] =
-          r1[static_cast<std::size_t>(i)];
-    } else {
-      const real_t w = tables.R1RowBound(i, r2_max);
-      lb[static_cast<std::size_t>(i)] = -w;
-      ub[static_cast<std::size_t>(i)] = w;
-    }
-  }
-  for (index_t j = 0; j < n2; ++j) {
-    lb[static_cast<std::size_t>(n1 + j)] = ub[static_cast<std::size_t>(n1 + j)] =
-        r2[static_cast<std::size_t>(j)];
-  }
-  for (index_t i = 0; i < n3; ++i) {
-    const real_t center = cq3[static_cast<std::size_t>(i)];
-    const real_t w = Pad(tables.a31[static_cast<std::size_t>(i)] * r1_max +
-                         tables.a32[static_cast<std::size_t>(i)] * r2_max);
-    lb[static_cast<std::size_t>(n1 + n2 + i)] = center - w;
-    ub[static_cast<std::size_t>(n1 + n2 + i)] = center + w;
-  }
-  if (opts.exclude >= 0 && opts.exclude < n) {
-    const std::size_t pos =
-        static_cast<std::size_t>(dec.perm[static_cast<std::size_t>(opts.exclude)]);
-    lb[pos] = ub[pos] = -kInf;
-  }
-
-  // tau = k-th largest lower bound: at least k nodes score >= tau, so any
-  // node with ub < tau is strictly below k others and provably out —
-  // boundary ties included, whatever the id tie-break says.
-  real_t tau = -kInf;
-  if (static_cast<std::size_t>(opts.k) < lb.size()) {
-    Vector lbs = lb;
-    std::nth_element(lbs.begin(),
-                     lbs.begin() + static_cast<std::ptrdiff_t>(opts.k - 1),
-                     lbs.end(), std::greater<real_t>());
-    tau = lbs[static_cast<std::size_t>(opts.k - 1)];
-  }
-
-  // Candidate rows plus the closure of H11 blocks their scores read:
-  // every candidate spoke's own block, and every block referenced by a
-  // candidate deadend's H31 row.
-  std::vector<index_t> cand1, cand3;
-  for (index_t i = 0; i < n1; ++i) {
-    if (ub[static_cast<std::size_t>(i)] >= tau) cand1.push_back(i);
-  }
-  for (index_t i = 0; i < n3; ++i) {
-    if (ub[static_cast<std::size_t>(n1 + n2 + i)] >= tau) cand3.push_back(i);
-  }
-  auto block_of = [&](index_t col) {
-    return static_cast<index_t>(
-        std::upper_bound(tables.block_start.begin(), tables.block_start.end(),
-                         col) -
-        tables.block_start.begin() - 1);
-  };
-  for (index_t i : cand1) {
-    compute_block(tables.row_block[static_cast<std::size_t>(i)]);
-  }
-  const std::vector<index_t>& h31_ptr = dec.h31.row_ptr();
-  const std::vector<index_t>& h31_col = dec.h31.col_idx();
-  for (index_t i : cand3) {
-    for (index_t p = h31_ptr[static_cast<std::size_t>(i)];
-         p < h31_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      compute_block(block_of(h31_col[static_cast<std::size_t>(p)]));
-    }
-  }
-
-  // Candidate scores, dense order per row: r3 = (cq3 - H31 r1) - H32 r2.
-  out.entries.reserve(cand1.size() + cand3.size() + static_cast<std::size_t>(n2));
-  const index_t exclude_pos =
-      (opts.exclude >= 0 && opts.exclude < n)
-          ? dec.perm[static_cast<std::size_t>(opts.exclude)]
-          : static_cast<index_t>(-1);
-  auto emit = [&](index_t pos, real_t score) {
-    if (pos == exclude_pos) return;
-    out.entries.emplace_back(inverse_perm[static_cast<std::size_t>(pos)],
-                             score);
-  };
-  for (index_t i : cand1) emit(i, r1[static_cast<std::size_t>(i)]);
-  for (index_t j = 0; j < n2; ++j) {
-    if (ub[static_cast<std::size_t>(n1 + j)] >= tau) {
-      emit(n1 + j, r2[static_cast<std::size_t>(j)]);
-    }
-  }
-  for (index_t i : cand3) {
-    real_t v = cq3[static_cast<std::size_t>(i)] +
-               (-1.0) * RowDot(dec.h31, i, r1.data());
-    v += (-1.0) * RowDot(dec.h32, i, r2.data());
-    touch_row(dec.h31, i);
-    touch_row(dec.h32, i);
-    emit(n1 + n2 + i, v);
-  }
-
-  // Same comparator as core/rwr.hpp TopK: score descending, ties by node
-  // id — the candidate superset sorted this way shares its first k entries
-  // with the sorted full vector.
-  std::sort(out.entries.begin(), out.entries.end(),
-            [](const auto& a, const auto& b) {
-              return a.second != b.second ? a.second > b.second
-                                          : a.first < b.first;
-            });
-  if (out.entries.size() > static_cast<std::size_t>(opts.k)) {
-    out.entries.resize(static_cast<std::size_t>(opts.k));
-  }
-
-  index_t computed_rows = 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    if (computed[b]) {
-      computed_rows += tables.block_start[b + 1] - tables.block_start[b];
-    }
-  }
-  computed_rows += static_cast<index_t>(cand3.size());
-  out.candidates = computed_rows;
-  out.pruned_rows = n1 + n3 - computed_rows;
-
-  if (MetricsEnabled()) {
-    BEPI_METRIC_COUNTER(queries, "topk.queries");
-    BEPI_METRIC_COUNTER(candidates, "topk.candidates");
-    BEPI_METRIC_COUNTER(pruned_rows, "topk.pruned_rows");
-    BEPI_METRIC_COUNTER(bytes, "topk.bytes_touched");
-    BEPI_METRIC_COUNTER(fallbacks, "topk.dense_fallbacks");
-    (void)fallbacks;
-    queries->Increment();
-    candidates->Increment(static_cast<std::uint64_t>(out.candidates));
-    pruned_rows->Increment(static_cast<std::uint64_t>(out.pruned_rows));
-    bytes->Increment(out.bytes_touched);
-  }
-  return out;
 }
 
 }  // namespace bepi

@@ -1,22 +1,16 @@
-// Top-k query machinery for BePI (ROADMAP item 2): exact top-k with
-// pruned back-substitution, and the bound tables both the pruning and the
-// eps-mode error reporting are built on.
+// Top-k query modes for BePI and the error bounds of the bounded-error
+// (eps) mode.
 //
-// After the Schur solve converges, the hub scores r2 are known exactly
-// (they ARE the values the dense path returns verbatim), while the spoke
-// and deadend scores still cost a full back-substitution:
+// An exact top-k answer is the dense answer ranked: BepiSolver::QueryTopK
+// solves the query (Algorithm 4) and sorts the full vector with
+// core/rwr.hpp TopK. Eps mode stops the Schur solve at a user tolerance;
+// the hub scores r2 are then off by dr2, which back-substitution
 //
-//   r1 = U1^{-1} L1^{-1} (c q1 - H12 r2),   r3 = c q3 - H31 r1 - H32 r2.
+//   r1 = U1^{-1} L1^{-1} (c q1 - H12 r2),   r3 = c q3 - H31 r1 - H32 r2
 //
-// H11 is block diagonal, so row i of r1 (in diagonal block b) depends only
-// on block b's rows of H12/L1^{-1}/U1^{-1} — and its magnitude is bounded
-// by per-row/per-block absolute row sums times ||r2||_inf, all computed
-// once per model. Nodes whose upper bound falls below the k-th largest
-// lower bound provably cannot enter the top k and their rows are never
-// touched; the surviving candidate rows are computed with the *same
-// per-row dot-product loops* (sparse/kernel.hpp RowDot order) the dense
-// SpMV kernels use, so every returned score is byte-identical to the full
-// solve at any kernel path and thread count.
+// propagates into the spoke and deadend scores. The bound tables below
+// turn ||dr2|| into a sup-norm bound on every score from absolute row sums
+// of the back-substitution matrices, computed once per model.
 #ifndef BEPI_CORE_TOPK_HPP_
 #define BEPI_CORE_TOPK_HPP_
 
@@ -25,7 +19,6 @@
 #include <vector>
 
 #include "core/decomposition.hpp"
-#include "sparse/permute.hpp"
 
 namespace bepi {
 
@@ -52,53 +45,26 @@ struct TopKOptions {
 };
 
 /// A ranked answer: the k highest-scoring (node, score) pairs in original
-/// node ids, descending by score with ties broken by node id — the exact
-/// comparator of core/rwr.hpp TopK, so exact-mode results compare equal to
-/// TopK(full solve).
+/// node ids, descending by score with ties broken by node id (the
+/// comparator of core/rwr.hpp TopK).
 struct TopKResult {
   std::vector<std::pair<index_t, real_t>> entries;
-  /// Sup-norm bound on |returned - true| per score. 0 in exact mode (the
-  /// scores are the full solve's scores); in eps mode the honest
-  /// residual-derived bound crosscheck verifies against the MC oracle.
+  /// Sup-norm bound on |returned - true| per score. 0 for an exact
+  /// converged answer; otherwise the honest bound of how the answer was
+  /// produced (eps truncation, partial result, power/MC terminal stage),
+  /// the bound crosscheck verifies against the MC oracle.
   real_t error_bound = 0.0;
-  /// True when the pruned back-substitution answered the query; false when
-  /// it degraded to a full solve + sort (fallback hops, cancellation, the
-  /// BiCGSTAB ablation solver, or a power/MC stage that produced the full
-  /// vector anyway).
-  bool pruned = false;
-  /// Rows whose exact score the pruned path computed (block-2 rows are
-  /// free and not counted) vs rows it proved could not enter the top k.
-  index_t candidates = 0;
-  index_t pruned_rows = 0;
-  /// Matrix bytes streamed by the pruned back-substitution under the same
-  /// traffic model as spmv.bytes (indices + values of touched rows, the
-  /// operand reads, the output writes). The dense equivalent is
-  /// DenseBackSubstitutionBytes below; bench_topk plots the ratio.
-  std::uint64_t bytes_touched = 0;
 };
 
-/// Absolute-row-sum tables used by both the pruning bounds and the eps
-/// error propagation. Built once per model (O(nnz) pass over the
-/// back-substitution matrices); all entries are nonnegative.
+/// The three amplification factors of the eps error propagation, from an
+/// O(nnz) pass over the back-substitution matrices. All nonnegative.
 struct TopKBoundTables {
-  /// Per block-1 row: sum_j |U1^{-1}[i,j]| and sum_j |H12[i,j]|.
-  std::vector<real_t> au, a12;
-  /// Per diagonal block b of H11: max over the block's rows of
-  /// sum_j |L1^{-1}[i,j]| and of a12 (the within-block sup amplification).
-  std::vector<real_t> block_al_max, block_a12_max;
-  /// Per block-3 row: sum_j |H31[i,j]| and sum_j |H32[i,j]|.
-  std::vector<real_t> a31, a32;
-  /// Block-1 row -> diagonal block id, and block id -> first row.
-  std::vector<index_t> row_block;
-  std::vector<index_t> block_start;
-  /// max_b (max_{i in b} au[i]) * block_al_max[b] * block_a12_max[b]:
-  /// ||r1 correction||_inf <= r1_coeff_max * ||r2||_inf.
+  /// max over diagonal blocks b of H11 of (max_{i in b} sum_j |U1^{-1}[i,j]|)
+  /// * (max_{i in b} sum_j |L1^{-1}[i,j]|) * (max_{i in b} sum_j |H12[i,j]|):
+  /// ||dr1||_inf <= r1_coeff_max * ||dr2||_inf.
   real_t r1_coeff_max = 0.0;
+  /// max over deadend rows of sum_j |H31[i,j]| and of sum_j |H32[i,j]|.
   real_t a31_max = 0.0, a32_max = 0.0;
-
-  /// Upper bound (with rounding slack) on |r1_i| for any row i of block b
-  /// given ||r2||_inf, excluding the c*q1 seed contribution.
-  real_t R1RowBound(index_t row, real_t r2_max) const;
 };
 
 TopKBoundTables BuildTopKBoundTables(const HubSpokeDecomposition& dec);
@@ -119,31 +85,11 @@ real_t ScoreErrorBound(const TopKBoundTables& tables, real_t residual_norm1,
 /// Includes rounding slack.
 real_t FullSystemScoreBound(real_t residual_norm1, real_t restart_prob);
 
-/// Pruned back-substitution over a converged (or eps-truncated) Schur
-/// iterate `r2`. `cq1`/`cq3` are the scaled start-vector slices in
-/// reordered ids (the same vectors the dense path back-substitutes);
-/// `compact_path` selects the 4- vs 8-byte index cost in the bytes
-/// accounting only — the arithmetic is identical on both kernel paths.
-/// `opts.k` must be >= 1; `opts.exclude` is an ORIGINAL node id.
-/// `score_bound` is carried into TopKResult::error_bound (0 for exact).
-/// Registers and bumps the topk.* metric counters.
-TopKResult PrunedTopK(const HubSpokeDecomposition& dec,
-                      const TopKBoundTables& tables,
-                      const Permutation& inverse_perm, bool compact_path,
-                      const Vector& cq1, const Vector& cq3, const Vector& r2,
-                      real_t score_bound, const TopKOptions& opts);
-
-/// Bytes the dense back-substitution streams under the spmv.bytes traffic
+/// Bytes one dense back-substitution streams under the spmv.bytes traffic
 /// model (every row of H12, L1^{-1}, U1^{-1}, H31, H32 plus the dense
-/// operands): the baseline bench_topk compares bytes_touched against.
+/// operands), at 4- (compact) or 8-byte (wide) indices.
 std::uint64_t DenseBackSubstitutionBytes(const HubSpokeDecomposition& dec,
                                          bool compact_path);
-
-/// Records a top-k query answered through the dense full-solve path
-/// (degradation chain engaged, ablation solver, partial results):
-/// registers the full topk.* counter set and bumps topk.queries and
-/// topk.dense_fallbacks.
-void CountTopKDenseFallback();
 
 }  // namespace bepi
 

@@ -617,11 +617,10 @@ void QueryServer::ExecuteBatch(int slot) {
     std::unordered_map<index_t, std::size_t> group_of;
     group_of.reserve(missed.size());
     for (const std::size_t i : missed) {
-      // Top-k deliverables never share: their answer shape depends on
-      // (k, mode, eps), not just the seed. Each gets a singleton group —
-      // exact-mode items still join the blocked Schur solve inside
-      // QueryMulti; only their back-substitution is per-column.
-      if (batch[i].req.top_k > 0) {
+      // Eps answers depend on the request's eps, not just the seed: each
+      // gets a singleton group (and QueryMulti solves it alone). Exact
+      // top_k requests are dense solves and share like any other.
+      if (batch[i].req.mode_eps) {
         groups.emplace_back(1, i);
         continue;
       }
@@ -641,12 +640,8 @@ void QueryServer::ExecuteBatch(int slot) {
     item.control.cancel = primary.token.get();
     item.control.allow_partial = primary.req.allow_partial;
     item.control.request_id = primary.req.request_id.c_str();
-    if (primary.req.top_k > 0) {
-      item.topk.k = primary.req.top_k;
-      item.topk.mode =
-          primary.req.mode_eps ? TopKMode::kEps : TopKMode::kExact;
-      item.topk.eps = static_cast<real_t>(primary.req.eps);
-      item.topk.exclude = primary.req.seed;
+    if (primary.req.mode_eps) {
+      item.control.eps = static_cast<real_t>(primary.req.eps);
     }
     items.push_back(item);
   }
@@ -675,16 +670,14 @@ void QueryServer::ExecuteBatch(int slot) {
         continue;
       }
       const MultiQueryResult& r = results[g];
-      const bool is_topk = pq.req.top_k > 0;  // singleton group by construction
       const bool shareable =
           r.status.ok() && r.stats.outcome == SolveOutcome::kConverged;
       if (m == 0 || shareable) {
         Result<Vector> scores =
             r.status.ok() ? Result<Vector>(r.scores) : Result<Vector>(r.status);
         FinishQuery(pq.conn, pq.req, scores, r.stats, r.coalesced,
-                    /*insert_cache=*/m == 0 && !is_topk, queue_ns, solve_ns,
-                    pq.admitted_at,
-                    is_topk && r.status.ok() ? &r.topk : nullptr);
+                    /*insert_cache=*/m == 0 && !pq.req.mode_eps, queue_ns,
+                    solve_ns, pq.admitted_at);
       } else {
         // Duplicate of a primary that failed or only partially finished:
         // re-solve under this request's own token and partial policy so a
@@ -824,19 +817,9 @@ void QueryServer::ExecuteQuery(int slot, const std::shared_ptr<Conn>& conn,
   control.cancel = token.get();
   control.allow_partial = req.allow_partial;
   control.request_id = req.request_id.c_str();
-  Result<Vector> scores = Vector();
-  Result<TopKResult> tk = TopKResult();
-  if (req.top_k > 0) {
-    TopKOptions opts;
-    opts.k = req.top_k;
-    opts.mode = req.mode_eps ? TopKMode::kEps : TopKMode::kExact;
-    opts.eps = static_cast<real_t>(req.eps);
-    opts.exclude = req.seed;  // match the dense response's TopK(..., seed)
-    tk = solver_.QueryTopK(req.seed, opts, &stats, &ws.workspace, control);
-    if (!tk.ok()) scores = Result<Vector>(tk.status());
-  } else {
-    scores = solver_.Query(req.seed, &stats, &ws.workspace, control);
-  }
+  if (req.mode_eps) control.eps = static_cast<real_t>(req.eps);
+  Result<Vector> scores =
+      solver_.Query(req.seed, &stats, &ws.workspace, control);
   const std::int64_t solve_ns = NowNs() - exec_start_ns;
 
   {
@@ -848,9 +831,8 @@ void QueryServer::ExecuteQuery(int slot, const std::shared_ptr<Conn>& conn,
   ws.wedged.store(false, std::memory_order_relaxed);
 
   FinishQuery(conn, req, scores, stats, /*coalesced=*/false,
-              /*insert_cache=*/req.top_k == 0, queue_ns, solve_ns,
-              admitted_at,
-              req.top_k > 0 && tk.ok() ? &*tk : nullptr);
+              /*insert_cache=*/!req.mode_eps, queue_ns, solve_ns,
+              admitted_at);
 }
 
 void QueryServer::FinishQuery(const std::shared_ptr<Conn>& conn,
@@ -859,8 +841,7 @@ void QueryServer::FinishQuery(const std::shared_ptr<Conn>& conn,
                               const QueryStats& stats, bool coalesced,
                               bool insert_cache, std::int64_t queue_ns,
                               std::int64_t solve_ns,
-                              Clock::time_point admitted_at,
-                              const TopKResult* topk) {
+                              Clock::time_point admitted_at) {
   const std::int64_t admitted_ns = ToEpochNs(admitted_at);
   const double total_seconds =
       std::chrono::duration<double>(Clock::now() - admitted_at).count();
@@ -939,10 +920,8 @@ void QueryServer::FinishQuery(const std::shared_ptr<Conn>& conn,
     AppendTimingJson(&out, queue_ns, solve_ns,
                      NowNs() - admitted_ns, stats.report);
     out += ",\"topk\":[";
-    // A top-k-mode deliverable already carries its sorted (node, score)
-    // pairs; a dense solve is ranked (and truncated) here.
-    const auto& ranking =
-        topk != nullptr ? topk->entries : TopK(*scores, req.topk, req.seed);
+    const auto ranking =
+        TopK(*scores, req.top_k > 0 ? req.top_k : req.topk, req.seed);
     for (std::size_t i = 0; i < ranking.size(); ++i) {
       if (i > 0) out += ",";
       out += "[";
@@ -952,12 +931,14 @@ void QueryServer::FinishQuery(const std::shared_ptr<Conn>& conn,
       out += "]";
     }
     out += "]";
-    if (topk != nullptr) {
+    if (req.top_k > 0) {
+      BEPI_METRIC_COUNTER(topk_queries, "topk.queries");
+      topk_queries->Increment();
       out += ",\"mode\":";
       out += req.mode_eps ? "\"eps\"" : "\"exact\"";
       if (req.mode_eps) {
         out += ",\"bound\":";
-        AppendReal(&out, topk->error_bound);
+        AppendReal(&out, stats.error_bound);
       }
     }
     if (req.want_scores) {

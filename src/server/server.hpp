@@ -181,17 +181,14 @@ class QueryServer {
   /// Shared response tail of every solved query (scalar or coalesced):
   /// error mapping, counters, latency recording, response assembly and
   /// write, slow-query forensics, and — for converged full solves when
-  /// `insert_cache` — the hot-seed cache insert. A non-null `topk` is a
-  /// top-k-mode deliverable (core/topk.hpp): the response's "topk" array
-  /// is its sorted entries, "mode" names the request's mode, eps mode
-  /// adds the per-score "bound", and the full-vector rendering and cache
-  /// insert are skipped (the pruned path never materializes the vector).
+  /// `insert_cache` — the hot-seed cache insert. A top_k request is
+  /// ranked to top_k entries and names its "mode"; eps mode adds the
+  /// per-score "bound" (QueryStats::error_bound).
   void FinishQuery(const std::shared_ptr<Conn>& conn, const Request& req,
                    const Result<Vector>& scores, const QueryStats& stats,
                    bool coalesced, bool insert_cache, std::int64_t queue_ns,
                    std::int64_t solve_ns,
-                   CancelToken::Clock::time_point admitted_at,
-                   const TopKResult* topk = nullptr);
+                   CancelToken::Clock::time_point admitted_at);
   void WriteToConn(const std::shared_ptr<Conn>& conn, const std::string& line);
   std::string HealthLine(const std::string& id_json) const;
   std::string StatsLine(const std::string& id_json) const;

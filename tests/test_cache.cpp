@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "core/bepi.hpp"
 #include "core/rwr.hpp"
 #include "server/cache.hpp"
@@ -316,7 +317,7 @@ TEST_F(CacheServeTest, QueryMultiMatchesScalarQueryBitwise) {
   const std::vector<index_t> seeds = {1, 5, 9, 13, 42};
   std::vector<MultiQueryItem> items;
   for (index_t s : seeds)
-    items.push_back(MultiQueryItem{s, QueryControl{}, TopKOptions{}});
+    items.push_back(MultiQueryItem{s, QueryControl{}});
   std::vector<MultiQueryResult> results;
   ASSERT_TRUE(solver_->QueryMulti(items, &results).ok());
   ASSERT_EQ(results.size(), seeds.size());
@@ -477,8 +478,8 @@ TEST_F(CacheServeTest, CoalescedBatchMatchesScalarServeBitwise) {
 // --- Top-k query mode on the serve path --------------------------------
 
 TEST_F(CacheServeTest, TopKModeMatchesDenseRenderingBitwise) {
-  // A top_k request's pruned answer must render byte-for-byte the same
-  // "topk" array a dense solve's TopK rendering produces for the same k.
+  // A top_k request must render byte-for-byte the same "topk" array a
+  // dense solve's TopK rendering produces for the same k.
   ServeOptions options;
   options.slots = 1;
   options.batch_max = 1;
@@ -515,55 +516,17 @@ TEST_F(CacheServeTest, EpsTopKCarriesModeAndBound) {
 }
 
 TEST_F(CacheServeTest, ExactTopKServedFromCache) {
-  // A dense solve populates the cache; a later exact top_k request for
-  // the same seed is answered from it ("stage":"cache") with the same
-  // pairs a cold pruned query returns.
+  // An exact top_k miss is a dense solve: it is inserted into the cache,
+  // and later requests for the same seed — dense or top_k — are answered
+  // from it ("stage":"cache") with the bytes a cold solve renders.
   ServeOptions options;
   options.slots = 1;
   options.batch_max = 1;
   options.cache_mb = 8;
   std::istringstream in(
-      "{\"op\":\"query\",\"id\":1,\"seed\":17}\n"
-      "{\"op\":\"query\",\"id\":2,\"seed\":17,\"top_k\":7}\n");
-  std::ostringstream out;
-  QueryServer server(*solver_, options);
-  ASSERT_TRUE(server.ServeStream(in, out).ok());
-  std::vector<std::string> lines;
-  {
-    std::istringstream split(out.str());
-    std::string line;
-    while (std::getline(split, line)) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 2u);
-  const std::string& hot = ById(lines, 2);
-  EXPECT_NE(hot.find("\"stage\":\"cache\""), std::string::npos) << hot;
-  EXPECT_NE(hot.find("\"mode\":\"exact\""), std::string::npos) << hot;
-  const ServerStatsSnapshot snap = server.Stats();
-  EXPECT_EQ(snap.cache_hits, 1u);
-
-  // Cold pruned reference (no cache): identical pairs, byte-for-byte.
-  ServeOptions cold_opts;
-  cold_opts.slots = 1;
-  cold_opts.batch_max = 1;
-  auto cold =
-      Serve({R"({"op":"query","id":1,"seed":17,"top_k":7})"}, cold_opts);
-  ASSERT_EQ(cold.size(), 1u);
-  EXPECT_EQ(JsonSlice(cold[0], "topk"), JsonSlice(hot, "topk"));
-}
-
-TEST_F(CacheServeTest, EpsTopKBypassesCache) {
-  // Eps answers depend on the request's eps; they are never served from
-  // the cache (and never counted against it), and never inserted.
-  ServeOptions options;
-  options.slots = 1;
-  options.batch_max = 1;
-  options.cache_mb = 8;
-  std::istringstream in(
-      "{\"op\":\"query\",\"id\":1,\"seed\":17}\n"
-      "{\"op\":\"query\",\"id\":2,\"seed\":17,\"top_k\":5,\"mode\":\"eps\","
-      "\"eps\":1e-4}\n"
-      "{\"op\":\"query\",\"id\":3,\"seed\":17,\"top_k\":5,\"mode\":\"eps\","
-      "\"eps\":1e-4}\n");
+      "{\"op\":\"query\",\"id\":1,\"seed\":17,\"top_k\":100}\n"
+      "{\"op\":\"query\",\"id\":2,\"seed\":17,\"topk\":10}\n"
+      "{\"op\":\"query\",\"id\":3,\"seed\":17,\"top_k\":7}\n");
   std::ostringstream out;
   QueryServer server(*solver_, options);
   ASSERT_TRUE(server.ServeStream(in, out).ok());
@@ -574,12 +537,113 @@ TEST_F(CacheServeTest, EpsTopKBypassesCache) {
     while (std::getline(split, line)) lines.push_back(line);
   }
   ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(ById(lines, 2).find("\"stage\":\"cache\""), std::string::npos);
-  EXPECT_EQ(ById(lines, 3).find("\"stage\":\"cache\""), std::string::npos);
+  EXPECT_EQ(ById(lines, 1).find("\"stage\":\"cache\""), std::string::npos);
+  const std::string& dense_hit = ById(lines, 2);
+  const std::string& topk_hit = ById(lines, 3);
+  EXPECT_NE(dense_hit.find("\"stage\":\"cache\""), std::string::npos)
+      << dense_hit;
+  EXPECT_NE(topk_hit.find("\"stage\":\"cache\""), std::string::npos)
+      << topk_hit;
+  EXPECT_NE(topk_hit.find("\"mode\":\"exact\""), std::string::npos)
+      << topk_hit;
   const ServerStatsSnapshot snap = server.Stats();
-  EXPECT_EQ(snap.cache_hits, 0u);
-  // Only the dense query's lookup counted: eps requests bypass entirely.
+  EXPECT_EQ(snap.cache_hits, 2u);
   EXPECT_EQ(snap.cache_misses, 1u);
+
+  // Cold references (no cache): identical payloads, byte-for-byte.
+  ServeOptions cold_opts;
+  cold_opts.slots = 1;
+  cold_opts.batch_max = 1;
+  auto cold = Serve({R"({"op":"query","id":1,"seed":17,"topk":10})",
+                     R"({"op":"query","id":2,"seed":17,"top_k":7})"},
+                    cold_opts);
+  ASSERT_EQ(cold.size(), 2u);
+  for (const char* key : {"topk", "iterations", "residual"}) {
+    EXPECT_EQ(JsonSlice(ById(cold, 1), key), JsonSlice(dense_hit, key))
+        << key;
+    EXPECT_EQ(JsonSlice(ById(cold, 2), key), JsonSlice(topk_hit, key))
+        << key;
+  }
+}
+
+TEST_F(CacheServeTest, EpsTopKBypassesCache) {
+  // Eps answers depend on the request's eps: they are never inserted,
+  // never served from the cache (not even once the seed is cached) and
+  // never counted against it.
+  ServeOptions options;
+  options.slots = 1;
+  options.batch_max = 1;
+  options.cache_mb = 8;
+  const std::string eps_tail =
+      ",\"seed\":17,\"top_k\":5,\"mode\":\"eps\",\"eps\":1e-4}\n";
+  std::istringstream in(
+      "{\"op\":\"query\",\"id\":1" + eps_tail +
+      "{\"op\":\"query\",\"id\":2,\"seed\":17,\"top_k\":5}\n"
+      "{\"op\":\"query\",\"id\":3" + eps_tail +
+      "{\"op\":\"query\",\"id\":4,\"seed\":17}\n");
+  std::ostringstream out;
+  QueryServer server(*solver_, options);
+  ASSERT_TRUE(server.ServeStream(in, out).ok());
+  std::vector<std::string> lines;
+  {
+    std::istringstream split(out.str());
+    std::string line;
+    while (std::getline(split, line)) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 4u);
+  // The exact top_k after the first eps request still misses...
+  EXPECT_EQ(ById(lines, 2).find("\"stage\":\"cache\""), std::string::npos);
+  // ...the second eps request solves although the seed is now cached...
+  EXPECT_EQ(ById(lines, 3).find("\"stage\":\"cache\""), std::string::npos);
+  EXPECT_NE(ById(lines, 3).find("\"bound\""), std::string::npos);
+  // ...and the dense request hits what the exact top_k inserted.
+  EXPECT_NE(ById(lines, 4).find("\"stage\":\"cache\""), std::string::npos);
+  const ServerStatsSnapshot snap = server.Stats();
+  EXPECT_EQ(snap.cache_hits, 1u);
+  EXPECT_EQ(snap.cache_misses, 1u);
+}
+
+TEST_F(CacheServeTest, CoalescedDenseAndExactTopKSolveTheSeedOnce) {
+  // An exact top_k request is a dense solve with a different rendering,
+  // so it joins its seed's dedupe group: a batch holding a dense and an
+  // exact top_k request for seed 3 (plus a dense seed 9) solves two
+  // columns, not three. Cache off, so only the dedupe can save the solve.
+  ServeOptions options;
+  options.slots = 1;
+  options.batch_max = 8;
+  options.batch_window_ms = 500.0;
+  SetMetricsEnabled(true);
+  Counter* solves = MetricsRegistry::Global().GetCounter("query.count");
+  const std::uint64_t before = solves->value();
+  auto lines = Serve({R"({"op":"query","id":1,"seed":9})",
+                      R"({"op":"query","id":2,"seed":3,"top_k":100})",
+                      R"({"op":"query","id":3,"seed":3,"topk":10})"},
+                     options);
+  const std::uint64_t solved = solves->value() - before;
+  SetMetricsEnabled(false);
+  ASSERT_EQ(lines.size(), 3u);
+  for (int id = 1; id <= 3; ++id) {
+    EXPECT_NE(ById(lines, id).find("\"ok\":true"), std::string::npos)
+        << ById(lines, id);
+  }
+  EXPECT_EQ(solved, 2u);
+
+  // Each member renders its own request, byte-identical to a cold solve.
+  ServeOptions cold_opts;
+  cold_opts.slots = 1;
+  cold_opts.batch_max = 1;
+  auto cold = Serve({R"({"op":"query","id":2,"seed":3,"top_k":100})",
+                     R"({"op":"query","id":3,"seed":3,"topk":10})"},
+                    cold_opts);
+  ASSERT_EQ(cold.size(), 2u);
+  for (int id : {2, 3}) {
+    for (const char* key : {"topk", "iterations", "residual"}) {
+      EXPECT_EQ(JsonSlice(ById(cold, id), key), JsonSlice(ById(lines, id), key))
+          << "id " << id << " key " << key;
+    }
+  }
+  EXPECT_NE(ById(lines, 2).find("\"mode\":\"exact\""), std::string::npos);
+  EXPECT_EQ(ById(lines, 3).find("\"mode\""), std::string::npos);
 }
 
 }  // namespace

@@ -2,12 +2,25 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "common/sections.hpp"
 #include "core/bepi.hpp"
 #include "test_util.hpp"
 
 namespace bepi {
 namespace {
+
+/// A framed v3 model stream holding only the "options" and "perm"
+/// sections with the given perm payload.
+std::string V3StreamWithPerm(const std::string& perm) {
+  std::ostringstream out;
+  SectionWriter writer(out, "BEPI-MODEL v3");
+  EXPECT_TRUE(writer.Add("options", "2 0.05 1e-9 100 100 0.2\n").ok());
+  EXPECT_TRUE(writer.Add("perm", perm).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  return out.str();
+}
 
 TEST(Serialize, RoundTripPreservesQueries) {
   Graph g = test::SmallRmat(150, 650, 0.25, 1039);
@@ -101,14 +114,30 @@ TEST(Serialize, LoadRejectsGarbage) {
     EXPECT_EQ(BepiSolver::Load(wrong).status().code(), StatusCode::kIoError);
   }
   {
-    std::stringstream truncated("BEPI-MODEL v1\n2 0.05 1e-9 100 100 0.2\n");
+    // A real model cut off mid-stream.
+    BepiSolver solver(BepiOptions{});
+    ASSERT_TRUE(solver.Preprocess(test::SmallRmat(40, 160, 0.2, 1061)).ok());
+    std::ostringstream out;
+    ASSERT_TRUE(solver.Save(out).ok());
+    const std::string model = out.str();
+    std::stringstream truncated(model.substr(0, model.size() / 2));
     EXPECT_FALSE(BepiSolver::Load(truncated).ok());
   }
   {
     // Inconsistent partition sizes.
-    std::stringstream bad_sizes(
-        "BEPI-MODEL v1\n2 0.05 1e-9 100 100 0.2\n10 3 3 3\n");
-    EXPECT_FALSE(BepiSolver::Load(bad_sizes).ok());
+    std::stringstream bad_sizes(V3StreamWithPerm("10 3 3 3\n"));
+    auto loaded = BepiSolver::Load(bad_sizes);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("partition sizes"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  {
+    // Unframed pre-v3 streams are refused by header.
+    std::stringstream v1("BEPI-MODEL v1\n2 0.05 1e-9 100 100 0.2\n");
+    auto loaded = BepiSolver::Load(v1);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("bad header"), std::string::npos);
   }
   EXPECT_EQ(BepiSolver::LoadFile("/nonexistent/model").status().code(),
             StatusCode::kIoError);

@@ -1,7 +1,7 @@
-// Exact top-k with pruned back-substitution and the bounded-error (eps)
-// query mode: bound containment, byte-for-byte parity with the sorted
-// dense solve across kernel paths and thread counts, eps-bound honesty
-// against the exact solution, and tie determinism at the k boundary.
+// Exact top-k and the bounded-error (eps) query mode: byte-for-byte
+// parity with the sorted dense solve across kernel paths and thread
+// counts, eps-bound honesty against the exact solution, coalescing rules
+// in QueryMulti, and tie determinism at the k boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,34 +37,6 @@ class TopKTest : public ::testing::Test {
   }
 };
 
-TEST_F(TopKTest, BoundTablesContainTrueScores) {
-  const Graph g = test::SmallRmat(250, 1400, 0.2, 21);
-  BepiSolver solver{BepiOptions{}};
-  ASSERT_TRUE(solver.Preprocess(g).ok());
-  // Every node's true score must sit inside the pruning interval the
-  // tables would assign it before any spoke block is computed: spokes in
-  // [-R1RowBound, R1RowBound] unless seed-block, deadends around c*q3.
-  // Exercised indirectly but exhaustively: the pruned top-k over every
-  // seed must return a superset-derived answer equal to the dense sort.
-  for (index_t seed : {0, 7, 100, 249}) {
-    QueryStats stats;
-    const auto dense = solver.Query(seed, &stats);
-    ASSERT_TRUE(dense.ok());
-    const auto expect = TopK(*dense, 10);
-    TopKOptions opts;
-    opts.k = 10;
-    const auto got = solver.QueryTopK(seed, opts);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_EQ(got->entries.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(got->entries[i].first, expect[i].first) << "rank " << i;
-      // Bitwise, not approximate: the pruned path replays the dense
-      // arithmetic row by row.
-      EXPECT_EQ(got->entries[i].second, expect[i].second) << "rank " << i;
-    }
-  }
-}
-
 TEST_F(TopKTest, ExactParityAcrossKernelPathsAndThreads) {
   const Graph g = test::SmallRmat(300, 1800, 0.15, 11);
   // Reference: dense solve on the default configuration, sorted.
@@ -97,21 +69,6 @@ TEST_F(TopKTest, ExactParityAcrossKernelPathsAndThreads) {
       }
     }
   }
-}
-
-TEST_F(TopKTest, PruningActuallySkipsRowsAndCountsBytes) {
-  const Graph g = test::SmallRmat(400, 1800, 0.2, 7);
-  BepiSolver solver{BepiOptions{}};
-  ASSERT_TRUE(solver.Preprocess(g).ok());
-  TopKOptions opts;
-  opts.k = 5;
-  const auto got = solver.QueryTopK(17, opts);
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(got->pruned);
-  EXPECT_EQ(got->entries.size(), 5u);
-  EXPECT_GT(got->bytes_touched, 0u);
-  EXPECT_EQ(got->candidates + got->pruned_rows,
-            solver.info().n1 + solver.info().n3);
 }
 
 TEST_F(TopKTest, InvalidKAndEpsAreRejectedByName) {
@@ -208,52 +165,49 @@ TEST_F(TopKTest, QueryMultiMixesTopKAndDenseColumns) {
   const Graph g = test::SmallRmat(300, 1500, 0.2, 17);
   BepiSolver solver{BepiOptions{}};
   ASSERT_TRUE(solver.Preprocess(g).ok());
-  std::vector<MultiQueryItem> items;
-  // Dense, exact top-k, dense, eps top-k, exact top-k.
-  items.push_back(MultiQueryItem{3, QueryControl{}, TopKOptions{}});
-  TopKOptions t1;
-  t1.k = 8;
-  items.push_back(MultiQueryItem{41, QueryControl{}, t1});
-  items.push_back(MultiQueryItem{77, QueryControl{}, TopKOptions{}});
-  TopKOptions t2;
-  t2.k = 8;
-  t2.mode = TopKMode::kEps;
-  t2.eps = 1e-5;
-  items.push_back(MultiQueryItem{120, QueryControl{}, t2});
-  TopKOptions t3;
-  t3.k = 3;
-  items.push_back(MultiQueryItem{200, QueryControl{}, t3});
+  // Exact top-k is a dense column ranked afterwards, so it coalesces with
+  // the dense items; an eps item (truncated tolerance) must solve alone.
+  QueryControl eps_control;
+  eps_control.eps = 1e-5;
+  const std::vector<MultiQueryItem> items = {
+      {3, QueryControl{}},   {41, QueryControl{}}, {77, QueryControl{}},
+      {120, eps_control},    {200, QueryControl{}}};
+  constexpr std::size_t kEpsItem = 3;
   std::vector<MultiQueryResult> results;
   ASSERT_TRUE(solver.QueryMulti(items, &results).ok());
   ASSERT_EQ(results.size(), items.size());
   for (std::size_t j = 0; j < items.size(); ++j) {
     ASSERT_TRUE(results[j].status.ok()) << "item " << j;
-  }
-  // Dense columns: bit-identical to scalar Query.
-  for (std::size_t j : {std::size_t{0}, std::size_t{2}}) {
-    const auto scalar = solver.Query(items[j].seed);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_EQ(results[j].scores, *scalar) << "item " << j;
-  }
-  // Exact top-k columns: identical to the solo top-k (and hence to the
-  // sorted dense solve); dense scores stay empty.
-  for (std::size_t j : {std::size_t{1}, std::size_t{4}}) {
-    EXPECT_TRUE(results[j].scores.empty()) << "item " << j;
-    const auto solo = solver.QueryTopK(items[j].seed, items[j].topk);
+    // Bit-identical to a solo Query with the item's own controls.
+    QueryStats solo_stats;
+    const auto solo =
+        solver.Query(items[j].seed, &solo_stats, nullptr, items[j].control);
     ASSERT_TRUE(solo.ok());
-    ASSERT_EQ(results[j].topk.entries.size(), solo->entries.size());
-    for (std::size_t i = 0; i < solo->entries.size(); ++i) {
-      EXPECT_EQ(results[j].topk.entries[i].first, solo->entries[i].first);
-      EXPECT_EQ(results[j].topk.entries[i].second, solo->entries[i].second);
-    }
+    EXPECT_EQ(results[j].scores, *solo) << "item " << j;
+    EXPECT_EQ(results[j].stats.error_bound, solo_stats.error_bound)
+        << "item " << j;
+    if (j == kEpsItem) continue;
+    EXPECT_TRUE(results[j].coalesced) << "item " << j;
+    EXPECT_EQ(results[j].stats.error_bound, 0.0) << "item " << j;
+    // The exact top-k of a coalesced column is the solo QueryTopK answer.
+    TopKOptions opts;
+    opts.k = 8;
+    opts.exclude = items[j].seed;
+    const auto topk = solver.QueryTopK(items[j].seed, opts);
+    ASSERT_TRUE(topk.ok());
+    EXPECT_EQ(TopK(results[j].scores, opts.k, opts.exclude), topk->entries)
+        << "item " << j;
   }
-  // Eps column: bound reported, scores within it of the exact solve.
-  EXPECT_GT(results[3].topk.error_bound, 0.0);
-  const auto exact = solver.Query(items[3].seed);
+  // The eps item solved alone and carries a bound honest against the
+  // exact solve.
+  const MultiQueryResult& eps = results[kEpsItem];
+  EXPECT_FALSE(eps.coalesced);
+  EXPECT_GT(eps.stats.error_bound, 0.0);
+  const auto exact = solver.Query(items[kEpsItem].seed);
   ASSERT_TRUE(exact.ok());
-  for (const auto& [node, score] : results[3].topk.entries) {
-    EXPECT_LE(std::abs(score - (*exact)[static_cast<std::size_t>(node)]),
-              results[3].topk.error_bound);
+  for (std::size_t i = 0; i < exact->size(); ++i) {
+    EXPECT_LE(std::abs(eps.scores[i] - (*exact)[i]), eps.stats.error_bound)
+        << "node " << i;
   }
 }
 
@@ -285,8 +239,7 @@ TEST_F(TopKTest, McWarmStartMatchesDefaultAnswerWithinTolerance) {
 
 TEST_F(TopKTest, DenseFallbackStillAnswersWithBound) {
   // Degrade every Krylov stage of the Schur chain: the query falls to the
-  // power stage, which produces a full vector, so the top-k answer comes
-  // back as a dense-sort fallback that still carries an explicit bound.
+  // power stage, and the top-k answer still carries an explicit bound.
   const Graph g = test::SmallRmat(250, 1200, 0.2, 13);
   BepiSolver solver{BepiOptions{}};
   ASSERT_TRUE(solver.Preprocess(g).ok());
@@ -315,7 +268,7 @@ TEST_F(TopKTest, DenseFallbackStillAnswersWithBound) {
   FaultInjector::Global().Reset();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->entries.size(), 6u);
-  EXPECT_FALSE(got->pruned);
+  EXPECT_EQ(stats.report.attempts.back().stage, "power");
   EXPECT_GT(got->error_bound, 0.0);
   // The faulted-stage answer still matches a clean dense solve's top-k
   // node set within the reported bound.

@@ -119,19 +119,15 @@ const CommandHelp kCommands[] = {
      "                     over the thread pool (--threads) with reused\n"
      "                     per-slot solver workspaces\n"
      "  --topk=K           ranking length (default 10)\n"
-     "  --top-k=K          top-k QUERY mode: answer with the k best nodes\n"
-     "                     via pruned back-substitution instead of a full\n"
-     "                     vector. Exact by default (scores byte-identical\n"
-     "                     to sorting a --dump-scores solve); add --eps=E\n"
-     "                     for the bounded-error mode (the Schur solve\n"
-     "                     stops at E and the answer carries an explicit\n"
+     "  --top-k=K          top-k QUERY mode: answer with the k best nodes.\n"
+     "                     Exact by default (scores byte-identical to\n"
+     "                     sorting a --dump-scores solve); add --eps=E for\n"
+     "                     the bounded-error mode (the Schur solve stops\n"
+     "                     at E and the answer carries an explicit\n"
      "                     per-score error bound)\n"
-     "  --topk-via=V       pruned (default) or dense: dense forces the\n"
-     "                     full-solve + sort baseline — CI cmps its\n"
-     "                     --dump-topk file against the pruned one\n"
      "  --dump-topk=FILE   write the ranking as 'node score' lines at full\n"
-     "                     precision (byte-comparable across --topk-via,\n"
-     "                     --kernel and --threads)\n"
+     "                     precision (byte-comparable across --kernel and\n"
+     "                     --threads)\n"
      "  --warm-start=mc    seed the Schur solve from a cheap Monte-Carlo\n"
      "                     estimate (needs --graph; off by default — a\n"
      "                     warm start changes the iterate sequence, so\n"
@@ -370,8 +366,7 @@ const std::map<std::string, std::vector<FlagSpec>>& CommandFlagSpecs() {
                                      {"seeds-file", FlagType::kString},
                                      {"topk", FlagType::kInt},
                                      {"top-k", FlagType::kInt},
-                                     {"topk-via", FlagType::kString},
-                                     {"dump-topk", FlagType::kString},
+                                      {"dump-topk", FlagType::kString},
                                      {"warm-start", FlagType::kString},
                                      {"dump-scores", FlagType::kString},
                                      {"stats", FlagType::kBool},
@@ -740,8 +735,8 @@ TopKOptions TopKOptionsFromFlags(const Flags& flags) {
 }
 
 /// Full-precision ranking dump, one "node score" line per entry: `cmp` of
-/// a pruned dump against a --topk-via=dense dump of the same query is the
-/// exact-mode byte-identity check smoke_topk runs in CI.
+/// two dumps of the same query across --kernel/--threads is the exact-mode
+/// byte-identity check smoke_topk runs in CI.
 int DumpTopKFile(const std::vector<std::pair<index_t, real_t>>& entries,
                  const std::string& dump_path) {
   AtomicFileWriter writer(dump_path);
@@ -758,52 +753,23 @@ int DumpTopKFile(const std::vector<std::pair<index_t, real_t>>& entries,
   return 0;
 }
 
-/// `query --top-k`: single-seed top-k query. --topk-via=pruned (default)
-/// runs the pruned back-substitution; --topk-via=dense forces the
-/// full-solve + sort baseline the pruned path must match byte-for-byte.
+/// `query --top-k`: single-seed top-k query.
 int QueryTopKSingle(const BepiSolver& solver, const Flags& flags,
                     index_t seed) {
   TopKOptions opts = TopKOptionsFromFlags(flags);
-  const std::string via = flags.GetString("topk-via", "pruned");
-  if (via != "pruned" && via != "dense") {
-    return Fail(Status::InvalidArgument(
-        "--topk-via must be \"pruned\" or \"dense\", got \"" + via + "\""));
-  }
   auto warm = WarmStartFromFlags(flags);
   if (!warm.ok()) return Fail(warm.status());
   QueryStats stats;
   QueryControl control;
   control.cancel = ShutdownToken();
   control.warm_start_mc = *warm;
-  TopKResult result;
-  if (via == "dense") {
-    const index_t n = solver.decomposition().n;
-    if (opts.k < 1 || opts.k > n) {
-      return Fail(Status::InvalidArgument(
-          "--top-k must be in [1, " + std::to_string(n) + "], got " +
-          std::to_string(opts.k)));
-    }
-    control.eps = opts.eps;
-    auto scores = solver.Query(seed, &stats, nullptr, control);
-    if (!scores.ok()) return Fail(scores.status());
-    result.entries = TopK(*scores, opts.k, opts.exclude);
-    if (opts.mode == TopKMode::kEps) result.error_bound = stats.error_bound;
-  } else {
-    auto r = solver.QueryTopK(seed, opts, &stats, nullptr, control);
-    if (!r.ok()) return Fail(r.status());
-    result = std::move(*r);
-  }
-  std::printf("top-%lld query (%s mode, via %s) took %.3f ms\n",
+  auto r = solver.QueryTopK(seed, opts, &stats, nullptr, control);
+  if (!r.ok()) return Fail(r.status());
+  const TopKResult& result = *r;
+  std::printf("top-%lld query (%s mode) took %.3f ms\n",
               static_cast<long long>(opts.k), TopKModeName(opts.mode),
-              via.c_str(), stats.seconds * 1e3);
+              stats.seconds * 1e3);
   PrintQueryReport(stats);
-  if (result.pruned) {
-    std::printf("pruned %lld rows, computed %lld candidates "
-                "(%llu bytes touched)\n",
-                static_cast<long long>(result.pruned_rows),
-                static_cast<long long>(result.candidates),
-                static_cast<unsigned long long>(result.bytes_touched));
-  }
   if (opts.mode == TopKMode::kEps) {
     std::printf("per-score error bound: +/-%.3g\n",
                 static_cast<double>(result.error_bound));
