@@ -118,15 +118,34 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (!in) {
     return Status::IoError("cannot open for reading: " + path + ErrnoText());
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
+  Result<std::string> content = ReadStreamToString(in);
+  if (!content.ok()) {
     return Status::IoError("read failed: " + path + ErrnoText());
   }
-  std::string content = buffer.str();
-  if (!content.empty() && BEPI_FAULT_INJECTED(fault_sites::kFileBitFlip)) {
-    content[content.size() / 2] ^= 0x01;  // deterministic single-bit flip
+  if (!content->empty() && BEPI_FAULT_INJECTED(fault_sites::kFileBitFlip)) {
+    (*content)[content->size() / 2] ^= 0x01;  // deterministic single-bit flip
   }
+  return content;
+}
+
+Result<std::string> ReadStreamToString(std::istream& in) {
+  // One allocation of the remaining size and one read into it. Whatever
+  // follows the size seen here (a file still growing, or a stream that
+  // reports no size) is appended by the stream copy after it.
+  std::string content;
+  const std::int64_t size = StreamRemainingBytes(in);
+  if (size > 0) {
+    content.resize(static_cast<std::size_t>(size));
+    in.read(content.data(), size);
+    content.resize(static_cast<std::size_t>(in.gcount()));
+  }
+  if (!in.eof() && !in.bad()) {
+    in.clear();
+    std::ostringstream rest;
+    rest << in.rdbuf();
+    content += std::move(rest).str();
+  }
+  if (in.bad()) return Status::IoError("stream read failed");
   return content;
 }
 

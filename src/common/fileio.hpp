@@ -59,9 +59,12 @@ class AtomicFileWriter {
 /// used to exercise checksum verification end to end.
 Result<std::string> ReadFileToString(const std::string& path);
 
+/// The rest of `in` from the current read position, read with a single
+/// allocation when the stream can report its size.
+Result<std::string> ReadStreamToString(std::istream& in);
+
 /// Bytes left between the current read position and end-of-stream, or -1
-/// when the stream is not seekable. Used to sanity-cap claimed element
-/// counts before allocating (allocation-bomb hardening).
+/// when the stream is not seekable.
 std::int64_t StreamRemainingBytes(std::istream& in);
 
 }  // namespace bepi

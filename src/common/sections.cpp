@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -16,10 +17,6 @@ constexpr std::string_view kSectionTag = "%section ";
 constexpr std::string_view kManifestTag = "%manifest ";
 constexpr std::string_view kEntryTag = "%entry ";
 constexpr std::string_view kEndTag = "%end";
-
-/// Largest payload a reader accepts when the stream is not seekable (and
-/// the claimed length therefore cannot be checked against reality).
-constexpr std::uint64_t kMaxUnverifiableSection = std::uint64_t{1} << 31;
 
 std::string HexCrc(std::uint32_t crc) {
   char buf[9];
@@ -59,21 +56,111 @@ bool SplitFields(std::string_view text, std::string_view* tokens,
   return found == want;
 }
 
-struct ParsedHeader {
+/// A section as a %section header line or a manifest %entry line
+/// describes it.
+struct Entry {
   std::string name;
+  std::uint64_t offset = 0;
   std::uint64_t length = 0;
   std::uint32_t crc = 0;
 };
 
-bool ParseSectionHeader(std::string_view line, ParsedHeader* out) {
-  if (line.rfind(kSectionTag, 0) != 0) return false;
+bool ParseSectionHeader(std::string_view line, std::uint64_t offset,
+                        Entry* out) {
+  if (!line.starts_with(kSectionTag)) return false;
   std::string_view fields[3];
   if (!SplitFields(line.substr(kSectionTag.size()), fields, 3)) return false;
   if (!ParseU64(fields[1], &out->length) || !ParseHex32(fields[2], &out->crc)) {
     return false;
   }
   out->name = std::string(fields[0]);
+  out->offset = offset;
   return true;
+}
+
+/// The line starting at `*pos` without its newline, advancing `*pos` past
+/// the newline; nullopt (and `*pos` unchanged) when no newline follows.
+std::optional<std::string_view> TakeLine(std::string_view data,
+                                         std::size_t* pos) {
+  const std::size_t end = data.find('\n', *pos);
+  if (end == std::string_view::npos) return std::nullopt;
+  const std::string_view line = data.substr(*pos, end - *pos);
+  *pos = end + 1;
+  return line;
+}
+
+/// The payload `header` announces, starting at `*pos`, which must be
+/// followed by the block's closing newline; advances `*pos` past it. The
+/// checksum is left to the caller.
+Result<std::string_view> TakePayload(std::string_view data, std::size_t* pos,
+                                     const Entry& header) {
+  const std::size_t remaining = data.size() - *pos;
+  if (header.length >= remaining) {
+    return Status::DataLoss(
+        "section '" + header.name + "' at offset " +
+        std::to_string(header.offset) + " claims " +
+        std::to_string(header.length) + " bytes but only " +
+        std::to_string(remaining) + " remain (truncated?)");
+  }
+  const std::size_t length = static_cast<std::size_t>(header.length);
+  if (data[*pos + length] != '\n') {
+    return Status::DataLoss("section '" + header.name + "' at offset " +
+                            std::to_string(header.offset) +
+                            " is truncated");
+  }
+  const std::string_view payload = data.substr(*pos, length);
+  *pos += length + 1;
+  return payload;
+}
+
+struct Manifest {
+  std::vector<Entry> entries;
+  bool crc_ok = false;  // the entry lines match the manifest's checksum
+  bool end_ok = false;  // a complete %end line follows them
+};
+
+/// Parses the manifest whose header `line` (at `offset`) was just taken:
+/// its entry lines and the end marker after them. Structural damage is
+/// DataLoss; checksum and end-marker verdicts are left to the caller.
+Result<Manifest> TakeManifest(std::string_view data, std::size_t* pos,
+                              std::string_view line, std::uint64_t offset) {
+  std::string_view fields[2];
+  std::uint64_t count = 0;
+  std::uint32_t manifest_crc = 0;
+  if (!SplitFields(line.substr(kManifestTag.size()), fields, 2) ||
+      !ParseU64(fields[0], &count) || !ParseHex32(fields[1], &manifest_crc)) {
+    return Status::DataLoss("malformed manifest header at offset " +
+                            std::to_string(offset) + ": " +
+                            std::string(line));
+  }
+  Manifest manifest;
+  std::string entry_lines;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::optional<std::string_view> entry = TakeLine(data, pos);
+    if (!entry.has_value()) {
+      return Status::DataLoss("truncated manifest: " + std::to_string(i) +
+                              " of " + std::to_string(count) +
+                              " entries present");
+    }
+    entry_lines += *entry;
+    entry_lines += '\n';
+    std::string_view entry_fields[4];
+    Entry parsed;
+    if (!entry->starts_with(kEntryTag) ||
+        !SplitFields(entry->substr(kEntryTag.size()), entry_fields, 4) ||
+        !ParseU64(entry_fields[1], &parsed.offset) ||
+        !ParseU64(entry_fields[2], &parsed.length) ||
+        !ParseHex32(entry_fields[3], &parsed.crc)) {
+      return Status::DataLoss("malformed manifest entry: " +
+                              std::string(*entry));
+    }
+    parsed.name = std::string(entry_fields[0]);
+    manifest.entries.push_back(std::move(parsed));
+  }
+  manifest.crc_ok = Crc32c::Compute(entry_lines) == manifest_crc;
+  const std::optional<std::string_view> end = TakeLine(data, pos);
+  manifest.end_ok = end.has_value() && *end == kEndTag;
+  return manifest;
 }
 
 std::string EntryLine(std::string_view name, std::uint64_t offset,
@@ -136,95 +223,49 @@ Status SectionWriter::Finish() {
   return Status::Ok();
 }
 
-Result<SectionReader> SectionReader::Open(std::istream& in,
+Result<SectionReader> SectionReader::Open(std::string_view data,
                                           std::string_view expected_magic) {
-  std::string magic;
-  if (!std::getline(in, magic) || magic != expected_magic) {
-    return Status::IoError("bad magic: expected '" +
-                           std::string(expected_magic) + "', got '" + magic +
-                           "'");
+  std::size_t pos = 0;
+  const std::optional<std::string_view> magic = TakeLine(data, &pos);
+  if (!magic.has_value() || *magic != expected_magic) {
+    return Status::IoError(
+        "bad magic: expected '" + std::string(expected_magic) + "', got '" +
+        std::string(magic.value_or(data).substr(0, 64)) + "'");
   }
-  return SectionReader(in, magic.size() + 1);
+  return SectionReader(data, pos);
 }
-
-SectionReader::SectionReader(std::istream& in, std::uint64_t bytes_consumed)
-    : in_(in), offset_(bytes_consumed) {}
 
 Result<std::optional<Section>> SectionReader::Next() {
   if (done_) return std::optional<Section>();
-  const std::uint64_t header_offset = offset_;
-  std::string line;
-  if (!std::getline(in_, line)) {
+  const std::uint64_t header_offset = pos_;
+  const std::optional<std::string_view> line = TakeLine(data_, &pos_);
+  if (!line.has_value()) {
     return Status::DataLoss(
         "truncated stream at offset " + std::to_string(header_offset) +
         ": section header or manifest missing");
   }
-  offset_ += line.size() + 1;
 
-  if (line.rfind(kManifestTag, 0) == 0) {
+  if (line->starts_with(kManifestTag)) {
     // Trailing manifest: verify its own checksum, the end marker, and that
     // it agrees with every section header we already verified.
-    std::string_view fields[2];
-    std::uint64_t count = 0;
-    std::uint32_t manifest_crc = 0;
-    if (!SplitFields(std::string_view(line).substr(kManifestTag.size()),
-                     fields, 2) ||
-        !ParseU64(fields[0], &count) || !ParseHex32(fields[1], &manifest_crc)) {
-      return Status::DataLoss("malformed manifest header at offset " +
-                              std::to_string(header_offset) + ": " + line);
-    }
-    if (count > seen_.size()) {
-      return Status::DataLoss("manifest claims " + std::to_string(count) +
-                              " sections, saw " +
-                              std::to_string(seen_.size()));
-    }
-    std::string entry_lines;
-    std::vector<ParsedHeader> entries;
-    std::vector<std::uint64_t> entry_offsets;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::string entry;
-      if (!std::getline(in_, entry)) {
-        return Status::DataLoss("truncated manifest: " + std::to_string(i) +
-                                " of " + std::to_string(count) +
-                                " entries present");
-      }
-      offset_ += entry.size() + 1;
-      entry_lines += entry + "\n";
-      std::string_view entry_fields[4];
-      ParsedHeader parsed;
-      std::uint64_t entry_offset = 0;
-      if (entry.rfind(kEntryTag, 0) != 0 ||
-          !SplitFields(std::string_view(entry).substr(kEntryTag.size()),
-                       entry_fields, 4) ||
-          !ParseU64(entry_fields[1], &entry_offset) ||
-          !ParseU64(entry_fields[2], &parsed.length) ||
-          !ParseHex32(entry_fields[3], &parsed.crc)) {
-        return Status::DataLoss("malformed manifest entry: " + entry);
-      }
-      parsed.name = std::string(entry_fields[0]);
-      entries.push_back(parsed);
-      entry_offsets.push_back(entry_offset);
-    }
-    if (Crc32c::Compute(entry_lines) != manifest_crc) {
+    BEPI_ASSIGN_OR_RETURN(Manifest manifest,
+                          TakeManifest(data_, &pos_, *line, header_offset));
+    if (!manifest.crc_ok) {
       return Status::DataLoss("manifest checksum mismatch at offset " +
                               std::to_string(header_offset));
     }
-    std::string end;
-    // eof() after a successful getline means the final newline was cut off
-    // — the stream was truncated mid-marker even though the text matches.
-    if (!std::getline(in_, end) || end != kEndTag || in_.eof()) {
+    if (!manifest.end_ok) {
       return Status::DataLoss("missing end marker after manifest");
     }
-    if (entries.size() != seen_.size()) {
+    if (manifest.entries.size() != seen_.size()) {
       return Status::DataLoss(
-          "manifest lists " + std::to_string(entries.size()) +
+          "manifest lists " + std::to_string(manifest.entries.size()) +
           " sections but the stream holds " + std::to_string(seen_.size()));
     }
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].name != seen_[i].name ||
-          entry_offsets[i] != seen_[i].offset ||
-          entries[i].length != seen_[i].length ||
-          entries[i].crc != seen_[i].crc) {
+    for (std::size_t i = 0; i < seen_.size(); ++i) {
+      const Entry& entry = manifest.entries[i];
+      if (entry.name != seen_[i].name || entry.offset != seen_[i].offset ||
+          entry.length != seen_[i].length || entry.crc != seen_[i].crc) {
         return Status::DataLoss("manifest disagrees with section '" +
                                 seen_[i].name + "' at offset " +
                                 std::to_string(seen_[i].offset));
@@ -234,40 +275,15 @@ Result<std::optional<Section>> SectionReader::Next() {
     return std::optional<Section>();
   }
 
-  ParsedHeader header;
-  if (!ParseSectionHeader(line, &header)) {
+  Entry header;
+  if (!ParseSectionHeader(*line, header_offset, &header)) {
     return Status::DataLoss("malformed section header at offset " +
-                            std::to_string(header_offset) + ": " + line);
+                            std::to_string(header_offset) + ": " +
+                            std::string(*line));
   }
-  const std::int64_t remaining = StreamRemainingBytes(in_);
-  if (remaining >= 0 &&
-      header.length > static_cast<std::uint64_t>(remaining)) {
-    return Status::DataLoss(
-        "section '" + header.name + "' at offset " +
-        std::to_string(header_offset) + " claims " +
-        std::to_string(header.length) + " bytes but only " +
-        std::to_string(remaining) + " remain (truncated?)");
-  }
-  if (remaining < 0 && header.length > kMaxUnverifiableSection) {
-    return Status::DataLoss("section '" + header.name +
-                            "' claims an implausible size of " +
-                            std::to_string(header.length) + " bytes");
-  }
-  Section section;
-  section.name = header.name;
-  section.offset = header_offset;
-  section.crc = header.crc;
-  section.payload.resize(header.length);
-  in_.read(section.payload.data(),
-           static_cast<std::streamsize>(header.length));
-  if (static_cast<std::uint64_t>(in_.gcount()) != header.length ||
-      in_.get() != '\n') {
-    return Status::DataLoss("section '" + header.name + "' at offset " +
-                            std::to_string(header_offset) +
-                            " is truncated");
-  }
-  offset_ += header.length + 1;
-  const std::uint32_t actual = Crc32c::Compute(section.payload);
+  BEPI_ASSIGN_OR_RETURN(std::string_view payload,
+                        TakePayload(data_, &pos_, header));
+  const std::uint32_t actual = Crc32c::Compute(payload);
   if (actual != header.crc) {
     return Status::DataLoss("section '" + header.name + "' at offset " +
                             std::to_string(header_offset) +
@@ -275,9 +291,9 @@ Result<std::optional<Section>> SectionReader::Next() {
                             HexCrc(header.crc) + ", computed " +
                             HexCrc(actual));
   }
-  seen_.push_back(
-      {section.name, section.offset, header.length, header.crc});
-  return std::optional<Section>(std::move(section));
+  seen_.push_back({header.name, header_offset, header.length, header.crc});
+  return std::optional<Section>(
+      Section{header.name, payload, header_offset, header.crc});
 }
 
 Result<Section> SectionReader::Expect(std::string_view expected_name) {
@@ -297,95 +313,72 @@ Result<Section> SectionReader::Expect(std::string_view expected_name) {
 IntegrityReport CheckIntegrity(std::istream& in,
                                std::string_view magic_prefix) {
   IntegrityReport report;
-  report.overall = Status::Ok();
-  std::string magic;
-  if (!std::getline(in, magic) || magic.rfind(magic_prefix, 0) != 0) {
-    report.overall = Status::IoError("bad magic: expected a '" +
-                                     std::string(magic_prefix) +
-                                     "...' file, got '" + magic + "'");
+  Result<std::string> read = ReadStreamToString(in);
+  if (!read.ok()) {
+    report.overall = read.status();
     return report;
   }
-  report.magic = magic;
+  const std::string data = std::move(read).value();
+  report.overall = Status::Ok();
+  std::size_t pos = 0;
+  const std::optional<std::string_view> magic = TakeLine(data, &pos);
+  if (!magic.has_value() || !magic->starts_with(magic_prefix)) {
+    report.overall = Status::IoError(
+        "bad magic: expected a '" + std::string(magic_prefix) +
+        "...' file, got '" +
+        std::string(magic.value_or(data).substr(0, 64)) + "'");
+    return report;
+  }
+  report.magic = std::string(*magic);
 
   auto note = [&report](Status problem) {
     if (report.overall.ok()) report.overall = std::move(problem);
   };
 
-  std::uint64_t offset = magic.size() + 1;
-  std::string line;
   bool saw_manifest = false;
-  while (std::getline(in, line)) {
-    const std::uint64_t header_offset = offset;
-    offset += line.size() + 1;
-    if (line.rfind(kManifestTag, 0) == 0) {
+  for (;;) {
+    const std::uint64_t header_offset = pos;
+    const std::optional<std::string_view> line = TakeLine(data, &pos);
+    if (!line.has_value()) break;
+    if (line->starts_with(kManifestTag)) {
       // Re-verify the manifest against what was actually scanned.
-      std::string_view fields[2];
-      std::uint64_t count = 0;
-      std::uint32_t manifest_crc = 0;
-      if (!SplitFields(std::string_view(line).substr(kManifestTag.size()),
-                       fields, 2) ||
-          !ParseU64(fields[0], &count) ||
-          !ParseHex32(fields[1], &manifest_crc)) {
-        note(Status::DataLoss("malformed manifest header: " + line));
+      saw_manifest = true;
+      Result<Manifest> manifest =
+          TakeManifest(data, &pos, *line, header_offset);
+      if (!manifest.ok()) {
+        note(manifest.status());
         return report;
       }
-      std::string entry_lines;
-      for (std::uint64_t i = 0; i < count && std::getline(in, line); ++i) {
-        entry_lines += line + "\n";
-      }
-      const bool crc_ok = Crc32c::Compute(entry_lines) == manifest_crc;
-      std::string end;
-      const bool end_ok = static_cast<bool>(std::getline(in, end)) &&
-                          end == kEndTag && !in.eof();
-      report.manifest_ok =
-          crc_ok && end_ok && count == report.sections.size();
-      saw_manifest = true;
+      report.manifest_ok = manifest->crc_ok && manifest->end_ok &&
+                           manifest->entries.size() == report.sections.size();
       if (!report.manifest_ok) {
         note(Status::DataLoss(
-            !crc_ok ? "manifest checksum mismatch"
-                    : (!end_ok ? "missing end marker after manifest"
-                               : "manifest section count mismatch")));
+            !manifest->crc_ok
+                ? "manifest checksum mismatch"
+                : (!manifest->end_ok ? "missing end marker after manifest"
+                                     : "manifest section count mismatch")));
       }
       break;
     }
-    ParsedHeader header;
-    if (!ParseSectionHeader(line, &header)) {
+    Entry header;
+    if (!ParseSectionHeader(*line, header_offset, &header)) {
       note(Status::DataLoss("malformed section header at offset " +
-                            std::to_string(header_offset) + ": " + line));
+                            std::to_string(header_offset) + ": " +
+                            std::string(*line)));
       return report;
     }
-    const std::int64_t remaining = StreamRemainingBytes(in);
-    if ((remaining >= 0 &&
-         header.length > static_cast<std::uint64_t>(remaining)) ||
-        (remaining < 0 && header.length > kMaxUnverifiableSection)) {
-      SectionCheck check;
-      check.name = header.name;
-      check.offset = header_offset;
-      check.length = header.length;
-      check.stored_crc = header.crc;
-      check.ok = false;
-      report.sections.push_back(check);
-      note(Status::DataLoss("section '" + header.name + "' at offset " +
-                            std::to_string(header_offset) +
-                            " is truncated"));
-      return report;
-    }
-    std::string payload(header.length, '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(header.length));
-    if (static_cast<std::uint64_t>(in.gcount()) != header.length ||
-        in.get() != '\n') {
-      note(Status::DataLoss("section '" + header.name + "' at offset " +
-                            std::to_string(header_offset) +
-                            " is truncated"));
-      return report;
-    }
-    offset += header.length + 1;
     SectionCheck check;
     check.name = header.name;
     check.offset = header_offset;
     check.length = header.length;
     check.stored_crc = header.crc;
-    check.actual_crc = Crc32c::Compute(payload);
+    Result<std::string_view> payload = TakePayload(data, &pos, header);
+    if (!payload.ok()) {
+      report.sections.push_back(check);
+      note(payload.status());
+      return report;
+    }
+    check.actual_crc = Crc32c::Compute(*payload);
     check.ok = check.actual_crc == check.stored_crc;
     if (!check.ok) {
       note(Status::DataLoss("section '" + header.name + "' at offset " +

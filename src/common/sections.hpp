@@ -1,5 +1,5 @@
 // Checksummed section framing for durable on-disk artifacts (model format
-// v3, preprocessing checkpoints). A framed stream is
+// v4, preprocessing checkpoints). A framed stream is
 //
 //   <magic>\n
 //   %section <name> <length> <crc32c-hex>\n
@@ -30,7 +30,7 @@ namespace bepi {
 
 struct Section {
   std::string name;
-  std::string payload;
+  std::string_view payload;  // a view into the SectionReader's buffer
   std::uint64_t offset = 0;  // of the %section header line
   std::uint32_t crc = 0;
 };
@@ -49,6 +49,9 @@ class SectionWriter {
   /// Writes the manifest + end marker and flushes. Must be called last.
   Status Finish();
 
+  /// Sections added so far.
+  std::size_t sections() const { return entries_.size(); }
+
  private:
   struct Entry {
     std::string name;
@@ -63,18 +66,16 @@ class SectionWriter {
   bool finished_ = false;
 };
 
-/// Sequential reader: verifies each section's length and CRC as it is
-/// consumed and the manifest at the end. Any integrity problem surfaces as
-/// a DataLoss status naming the section and offset.
+/// Sequential reader over a whole framed file held in memory: verifies
+/// each section's length and CRC as it is consumed and the manifest at the
+/// end. Any integrity problem surfaces as a DataLoss status naming the
+/// section and offset. Payloads are returned as views, not copies: the
+/// buffer must outlive the reader and every Section it returns.
 class SectionReader {
  public:
-  /// Reads and checks the magic line.
-  static Result<SectionReader> Open(std::istream& in,
+  /// Checks the magic line at the start of `data`.
+  static Result<SectionReader> Open(std::string_view data,
                                     std::string_view expected_magic);
-
-  /// For callers that already consumed the magic line while dispatching on
-  /// format version; `bytes_consumed` is its length including the newline.
-  SectionReader(std::istream& in, std::uint64_t bytes_consumed);
 
   /// The next section, or nullopt once the trailing manifest has been
   /// reached and verified.
@@ -86,6 +87,9 @@ class SectionReader {
   /// True after Next() returned nullopt (manifest verified).
   bool done() const { return done_; }
 
+  /// Sections returned by Next() so far.
+  std::size_t sections_read() const { return seen_.size(); }
+
  private:
   struct SeenSection {
     std::string name;
@@ -94,9 +98,12 @@ class SectionReader {
     std::uint32_t crc;
   };
 
-  std::istream& in_;
-  std::uint64_t offset_;
-  std::vector<SeenSection> seen_;  // header info only, payloads dropped
+  SectionReader(std::string_view data, std::size_t pos)
+      : data_(data), pos_(pos) {}
+
+  std::string_view data_;
+  std::size_t pos_;
+  std::vector<SeenSection> seen_;
   bool done_ = false;
 };
 
@@ -119,9 +126,10 @@ struct IntegrityReport {
   Status overall;
 };
 
-/// Full-file fsck: scans every section, continuing past checksum
-/// mismatches so the report covers the whole file. `magic_prefix` guards
-/// against fsck-ing an unrelated file (e.g. "BEPI-").
+/// Full-file fsck: reads the rest of `in` and scans every section,
+/// continuing past checksum mismatches so the report covers the whole
+/// file. `magic_prefix` guards against fsck-ing an unrelated file (e.g.
+/// "BEPI-").
 IntegrityReport CheckIntegrity(std::istream& in, std::string_view magic_prefix);
 
 }  // namespace bepi

@@ -104,9 +104,10 @@ Result<BatchQueryResult> BatchQueryEngine::Run(
       QueryStats* stats =
           options_.collect_stats ? &unique_stats[idx] : nullptr;
       if (topk_mode) {
+        TopKOptions topk = options_.topk;
+        topk.exclude = unique_seeds[idx];
         Result<TopKResult> r =
-            solver_.QueryTopK(unique_seeds[idx], options_.topk, stats, &ws,
-                              control);
+            solver_.QueryTopK(unique_seeds[idx], topk, stats, &ws, control);
         if (!r.ok()) {
           std::lock_guard<std::mutex> lock(error_mutex);
           if (orig < error_index) {

@@ -31,9 +31,10 @@ struct BatchQueryOptions {
   const CancelToken* cancel = nullptr;
   /// Batch-wide top-k execution (core/topk.hpp). topk.k == 0 (default)
   /// answers densely and fills BatchQueryResult::vectors; topk.k >= 1
-  /// runs every seed through BepiSolver::QueryTopK with exactly these
-  /// options (including `exclude`, applied to every seed verbatim) and
-  /// fills BatchQueryResult::topk instead, leaving vectors empty.
+  /// runs every seed through BepiSolver::QueryTopK with these options
+  /// and fills BatchQueryResult::topk instead, leaving vectors empty.
+  /// Each seed is left out of its own ranking (topk.exclude is replaced
+  /// by the seed), as the serve path's top-k replies do.
   TopKOptions topk;
   /// Forwarded into every query's QueryControl::warm_start_mc (seed the
   /// Schur solve from the attached MC engine; off by default — a warm

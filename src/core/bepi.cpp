@@ -948,12 +948,15 @@ std::uint64_t BepiSolver::PreprocessedBytes() const {
 
 namespace {
 
-// v3 frames every piece of the model (options, permutation, each matrix)
-// as a length- and CRC32C-carrying section with a trailing manifest
-// (common/sections.hpp), so any corruption is detected at load and
-// attributed to a section. Earlier unframed formats are not read:
-// preprocessing regenerates a model.
-constexpr char kModelHeaderV3[] = "BEPI-MODEL v3";
+// v4 frames every piece of the model (options, partition sizes,
+// permutation, each matrix) as a length- and CRC32C-carrying section with
+// a trailing manifest (common/sections.hpp), so any corruption is detected
+// at load and attributed to a section. The payloads are the raw
+// little-endian arrays of sparse/io.hpp: loading is a length check and a
+// memcpy per array, and a round-trip is exact by construction. Older
+// formats (v1-v3, whose payloads were text) are not read: preprocessing
+// regenerates a model.
+constexpr char kModelHeader[] = "BEPI-MODEL v4";
 
 /// The nine stored matrices in serialization order with their shapes in
 /// terms of the partition sizes.
@@ -985,55 +988,45 @@ constexpr MatrixSpec kMatrixSpecs[] = {
      &HubSpokeDecomposition::n2},
 };
 
-Status ParseModelOptions(std::istream& in, BepiOptions* options) {
+Result<BepiOptions> ParseModelOptions(std::string_view payload) {
+  std::istringstream in{std::string(payload)};
+  BepiOptions options;
   int mode = 0;
-  real_t hub_ratio = 0.0;
-  in >> mode >> options->restart_prob >> options->tolerance >>
-      options->max_iterations >> options->gmres_restart >> hub_ratio;
+  in >> mode >> options.restart_prob >> options.tolerance >>
+      options.max_iterations >> options.gmres_restart >> options.hub_ratio;
   if (!in || mode < 0 || mode > 2) {
-    return Status::IoError("malformed BePI model options");
+    return Status::DataLoss("malformed BePI model options");
   }
-  options->mode = static_cast<BepiMode>(mode);
-  options->hub_ratio = hub_ratio;
-  return Status::Ok();
+  options.mode = static_cast<BepiMode>(mode);
+  return options;
 }
 
-/// Parses the "perm" section: "n n1 n2 n3" followed by n permutation
-/// entries. Each entry takes at least two bytes, so a size line claiming
-/// more entries than the payload holds is rejected before the resize
-/// (allocation-bomb hardening).
-Status ParseSizesAndPerm(const std::string& payload,
-                         HubSpokeDecomposition* dec) {
-  std::istringstream in(payload);
-  in >> dec->n >> dec->n1 >> dec->n2 >> dec->n3;
-  if (!in || dec->n < 0 || dec->n1 < 0 || dec->n2 < 0 || dec->n3 < 0 ||
-      dec->n1 + dec->n2 + dec->n3 != dec->n) {
-    return Status::IoError("malformed BePI model partition sizes");
-  }
-  const std::int64_t limit_bytes = static_cast<std::int64_t>(payload.size());
-  if (dec->n > limit_bytes / 2 + 1) {
-    return Status::IoError(
-        "BePI model claims " + std::to_string(dec->n) +
-        " nodes but only " + std::to_string(limit_bytes) +
-        " bytes of permutation data follow");
-  }
-  dec->perm.resize(static_cast<std::size_t>(dec->n));
-  for (index_t i = 0; i < dec->n; ++i) {
-    in >> dec->perm[static_cast<std::size_t>(i)];
-  }
-  if (!in || !IsPermutation(dec->perm)) {
-    return Status::IoError("malformed BePI model permutation");
-  }
-  return Status::Ok();
+/// Reads the next section, which must be `name`, and decodes its payload
+/// with `decode`. A payload that passed its checksum but does not decode
+/// is DataLoss naming the section, like a checksum failure.
+template <typename Decode>
+auto DecodeNext(SectionReader& reader, const char* name, Decode decode)
+    -> decltype(decode(std::string_view())) {
+  BEPI_ASSIGN_OR_RETURN(Section section, reader.Expect(name));
+  auto decoded = decode(section.payload);
+  if (decoded.ok()) return decoded;
+  return Status::DataLoss("section '" + section.name + "' at offset " +
+                          std::to_string(section.offset) + ": " +
+                          decoded.status().message());
 }
 
 }  // namespace
 
 Status BepiSolver::Save(std::ostream& out) const {
+  return SaveSections(out, nullptr);
+}
+
+Status BepiSolver::SaveSections(std::ostream& out,
+                                std::int64_t* sections) const {
   if (!preprocessed_) {
     return Status::FailedPrecondition("nothing to save: Preprocess not called");
   }
-  SectionWriter writer(out, kModelHeaderV3);
+  SectionWriter writer(out, kModelHeader);
   std::ostringstream options;
   options.precision(17);
   options << static_cast<int>(options_.mode) << " " << options_.restart_prob
@@ -1041,40 +1034,35 @@ Status BepiSolver::Save(std::ostream& out) const {
           << " " << options_.gmres_restart << " " << effective_hub_ratio_
           << "\n";
   BEPI_RETURN_IF_ERROR(writer.Add("options", options.str()));
-  std::ostringstream perm;
-  perm << dec_.n << " " << dec_.n1 << " " << dec_.n2 << " " << dec_.n3
-       << "\n";
-  for (index_t i = 0; i < dec_.n; ++i) {
-    perm << dec_.perm[static_cast<std::size_t>(i)]
-         << (i + 1 == dec_.n ? '\n' : ' ');
-  }
-  BEPI_RETURN_IF_ERROR(writer.Add("perm", perm.str()));
+  BEPI_RETURN_IF_ERROR(
+      writer.Add("sizes", EncodeIndexVector({dec_.n1, dec_.n2, dec_.n3})));
+  BEPI_RETURN_IF_ERROR(writer.Add("perm", EncodeIndexVector(dec_.perm)));
   for (const MatrixSpec& spec : kMatrixSpecs) {
-    std::ostringstream payload;
-    BEPI_RETURN_IF_ERROR(WriteMatrixMarket(dec_.*spec.member, payload));
-    BEPI_RETURN_IF_ERROR(writer.Add(spec.name, payload.str()));
+    BEPI_RETURN_IF_ERROR(writer.Add(spec.name, EncodeCsr(dec_.*spec.member)));
   }
   // Spoke block layout, consumed by the eps bound tables (core/topk.hpp).
   // Optional on load: without it the tables fall back to one coarse
   // block.
   if (!dec_.block_sizes.empty()) {
-    std::ostringstream payload;
-    payload << dec_.block_sizes.size() << "\n";
-    for (std::size_t b = 0; b < dec_.block_sizes.size(); ++b) {
-      payload << dec_.block_sizes[b]
-              << (b + 1 == dec_.block_sizes.size() ? '\n' : ' ');
-    }
-    BEPI_RETURN_IF_ERROR(writer.Add("blocks", payload.str()));
+    BEPI_RETURN_IF_ERROR(
+        writer.Add("blocks", EncodeIndexVector(dec_.block_sizes)));
   }
   BEPI_RETURN_IF_ERROR(writer.Finish());
   if (!out) return Status::IoError("failed writing BePI model stream");
+  if (sections != nullptr) {
+    *sections = static_cast<std::int64_t>(writer.sections());
+  }
   return Status::Ok();
 }
 
 Status BepiSolver::SaveFile(const std::string& path) const {
+  TraceSpan span("model.save");
   AtomicFileWriter writer(path);
   BEPI_RETURN_IF_ERROR(writer.status());
-  BEPI_RETURN_IF_ERROR(Save(writer.stream()));
+  std::int64_t sections = 0;
+  BEPI_RETURN_IF_ERROR(SaveSections(writer.stream(), &sections));
+  span.Arg("bytes", static_cast<std::int64_t>(writer.stream().tellp()));
+  span.Arg("sections", sections);
   // Commit flushes, closes and checks the stream (the old plain-ofstream
   // path silently swallowed close-time errors), fsyncs, and renames into
   // place so a crash never leaves a torn model at `path`.
@@ -1082,70 +1070,76 @@ Status BepiSolver::SaveFile(const std::string& path) const {
 }
 
 Result<BepiSolver> BepiSolver::Load(std::istream& in) {
-  std::string header;
-  if (!std::getline(in, header)) {
-    return Status::IoError("empty BePI model stream");
+  BEPI_ASSIGN_OR_RETURN(const std::string data, ReadStreamToString(in));
+  return LoadSections(data, nullptr);
+}
+
+Result<BepiSolver> BepiSolver::LoadSections(std::string_view data,
+                                            std::int64_t* sections) {
+  Result<SectionReader> opened = SectionReader::Open(data, kModelHeader);
+  if (!opened.ok()) {
+    return Status::IoError("not a BePI model stream (bad header: " +
+                           opened.status().message() +
+                           "); re-run preprocess to regenerate the model");
   }
-  if (header != kModelHeaderV3) {
-    return Status::IoError("not a BePI model stream (bad header)");
-  }
-  SectionReader reader(
-      in, static_cast<std::uint64_t>(
-              std::char_traits<char>::length(kModelHeaderV3)) + 1);
-  BEPI_ASSIGN_OR_RETURN(Section options_section, reader.Expect("options"));
-  BepiOptions options;
-  {
-    std::istringstream options_in(options_section.payload);
-    BEPI_RETURN_IF_ERROR(ParseModelOptions(options_in, &options));
-  }
+  SectionReader& reader = *opened;
+  BEPI_ASSIGN_OR_RETURN(BepiOptions options,
+                        DecodeNext(reader, "options", ParseModelOptions));
   BepiSolver solver(options);
   HubSpokeDecomposition& dec = solver.dec_;
-  BEPI_ASSIGN_OR_RETURN(Section perm_section, reader.Expect("perm"));
-  BEPI_RETURN_IF_ERROR(ParseSizesAndPerm(perm_section.payload, &dec));
+  // The sizes [n1, n2, n3] must add up to the permutation's length, which
+  // the perm payload's exact-length check bounds: no claimed size drives
+  // an allocation.
+  BEPI_ASSIGN_OR_RETURN(std::vector<index_t> sizes,
+                        DecodeNext(reader, "sizes", DecodeIndexVector));
+  BEPI_ASSIGN_OR_RETURN(dec.perm,
+                        DecodeNext(reader, "perm", DecodeIndexVector));
+  dec.n = static_cast<index_t>(dec.perm.size());
+  if (!IsPermutation(dec.perm)) {
+    return Status::DataLoss("section 'perm': malformed BePI model permutation");
+  }
+  if (sizes.size() != 3 || sizes[0] < 0 || sizes[1] < 0 || sizes[0] > dec.n ||
+      sizes[1] > dec.n - sizes[0] || sizes[2] != dec.n - sizes[0] - sizes[1]) {
+    return Status::DataLoss(
+        "section 'sizes': malformed BePI model partition sizes");
+  }
+  dec.n1 = sizes[0];
+  dec.n2 = sizes[1];
+  dec.n3 = sizes[2];
   for (const MatrixSpec& spec : kMatrixSpecs) {
-    BEPI_ASSIGN_OR_RETURN(Section section, reader.Expect(spec.name));
-    std::istringstream matrix_in(section.payload);
     BEPI_ASSIGN_OR_RETURN(
         dec.*spec.member,
-        ReadMatrixMarket(matrix_in, dec.*spec.rows, dec.*spec.cols));
+        DecodeNext(reader, spec.name, [&](std::string_view payload) {
+          return DecodeCsr(payload, dec.*spec.rows, dec.*spec.cols);
+        }));
   }
   // Drain to the manifest so tail truncation and directory mismatches are
   // caught even though all expected sections were present. The optional
-  // "blocks" section is picked up here; anything else (including the
-  // "kernel" section older writers appended) is skipped.
+  // "blocks" section is picked up here; any other section is skipped.
   while (!reader.done()) {
     BEPI_ASSIGN_OR_RETURN(std::optional<Section> extra, reader.Next());
     if (!extra.has_value() || extra->name != "blocks") continue;
     // Spoke block layout for the eps bound tables. Strictly optional: a
-    // malformed or missing section only loosens the bound (single-block
-    // fallback), never fails the load.
-    std::istringstream blocks_in(extra->payload);
-    std::int64_t nb = 0;
-    blocks_in >> nb;
-    const std::int64_t limit =
-        static_cast<std::int64_t>(extra->payload.size());
-    if (!blocks_in || nb < 0 || nb > limit / 2 + 1) {
-      BEPI_LOG(Warning) << "malformed model blocks section; ignoring";
-      continue;
-    }
-    std::vector<index_t> sizes(static_cast<std::size_t>(nb));
+    // malformed section only loosens the bound (single-block fallback),
+    // never fails the load.
+    Result<std::vector<index_t>> blocks = DecodeIndexVector(extra->payload);
+    bool valid = blocks.ok();
     index_t sum = 0;
-    bool valid = true;
-    for (index_t& s : sizes) {
-      if (!(blocks_in >> s) || s <= 0) {
-        valid = false;
-        break;
-      }
-      sum += s;
+    for (std::size_t b = 0; valid && b < blocks->size(); ++b) {
+      valid = (*blocks)[b] > 0 && (*blocks)[b] <= dec.n1 - sum;
+      sum += (*blocks)[b];
     }
     if (!valid || sum != dec.n1) {
       BEPI_LOG(Warning) << "model blocks section does not tile the spoke "
                            "partition; ignoring";
       continue;
     }
-    dec.block_sizes = std::move(sizes);
+    dec.block_sizes = std::move(blocks).value();
   }
   BEPI_RETURN_IF_ERROR(solver.FinalizeLoaded());
+  if (sections != nullptr) {
+    *sections = static_cast<std::int64_t>(reader.sections_read());
+  }
   return solver;
 }
 
@@ -1179,12 +1173,23 @@ Status BepiSolver::FinalizeLoaded() {
 }
 
 Result<BepiSolver> BepiSolver::LoadFile(const std::string& path) {
+  TraceSpan span("model.load");
+  Timer timer;
   // Whole-file read (rather than a streaming ifstream) routes every load
   // through the fileio.bit_flip fault site, exercising checksum detection
   // end to end.
-  BEPI_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  std::istringstream in(std::move(content));
-  return Load(in);
+  BEPI_ASSIGN_OR_RETURN(const std::string content, ReadFileToString(path));
+  std::int64_t sections = 0;
+  Result<BepiSolver> solver = LoadSections(content, &sections);
+  span.Arg("bytes", static_cast<std::int64_t>(content.size()));
+  span.Arg("sections", sections);
+  if (solver.ok()) {
+    // Startup cost as a scrapeable fact, like the process.* gauges: set
+    // even when metric collection is off.
+    BEPI_METRIC_GAUGE(load_seconds, "model.load_seconds");
+    load_seconds->SetAlways(timer.Seconds());
+  }
+  return solver;
 }
 
 }  // namespace bepi

@@ -14,6 +14,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "common/cancel.hpp"
 #include "core/decomposition.hpp"
@@ -233,18 +234,31 @@ class BepiSolver final : public RwrSolver {
   const DecompositionKernels* kernels() const { return kernels_.get(); }
   real_t effective_hub_ratio() const { return effective_hub_ratio_; }
 
-  /// Serializes the preprocessed model (options, permutation and the
-  /// query-phase matrices) to a text stream. Preprocessing runs once and
-  /// the model can then be shipped to query servers.
+  /// Serializes the preprocessed model (options, partition, permutation
+  /// and the query-phase matrices) as model format v4: checksummed
+  /// sections of raw binary arrays (DESIGN.md "Model format v4").
+  /// Preprocessing runs once and the model can then be shipped to query
+  /// servers.
   Status Save(std::ostream& out) const;
+  /// Save through an atomic temp-file + rename, inside a "model.save"
+  /// trace span.
   Status SaveFile(const std::string& path) const;
 
-  /// Restores a solver from Save's output. The ILU(0) preconditioner is
-  /// recomputed from S (cheaper than shipping it; same O(|S|) cost).
+  /// Restores a solver from Save's output (the rest of `in`). The ILU(0)
+  /// preconditioner is recomputed from S (cheaper than shipping it; same
+  /// O(|S|) cost).
   static Result<BepiSolver> Load(std::istream& in);
+  /// Load of a whole file, inside a "model.load" trace span; a successful
+  /// load sets the model.load_seconds gauge.
   static Result<BepiSolver> LoadFile(const std::string& path);
 
  private:
+  /// Save/Load bodies; `sections` (may be null) receives the number of
+  /// sections written or read, for the model.save/model.load spans.
+  Status SaveSections(std::ostream& out, std::int64_t* sections) const;
+  static Result<BepiSolver> LoadSections(std::string_view data,
+                                         std::int64_t* sections);
+
   /// Runs Algorithm 4 given the already-partitioned scaled start vector
   /// (c*q sliced along [n1 | n2 | n3] in reordered ids).
   Result<Vector> SolveFromSlices(const Vector& cq1, const Vector& cq2,

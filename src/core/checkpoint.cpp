@@ -3,7 +3,6 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "common/checksum.hpp"
@@ -16,7 +15,7 @@
 namespace bepi {
 namespace {
 
-constexpr char kCheckpointMagic[] = "BEPI-CKPT v1";
+constexpr char kCheckpointMagic[] = "BEPI-CKPT v2";
 
 /// Stage names become file names; anything outside [A-Za-z0-9_.-] is
 /// mapped to '_' (stages like "factor" and "slashburn.round" pass through).
@@ -81,8 +80,8 @@ Status CheckpointManager::Write(
 Result<std::map<std::string, std::string>> CheckpointManager::Read(
     const std::string& stage) {
   const std::string path = FilePath(stage);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const Result<std::string> content = ReadFileToString(path);
+  if (!content.ok()) {
     return Status::NotFound("no checkpoint for stage '" + stage + "'");
   }
   auto invalid = [&](const Status& why) {
@@ -91,11 +90,12 @@ Result<std::map<std::string, std::string>> CheckpointManager::Read(
     return Status::NotFound("checkpoint for stage '" + stage +
                             "' is unusable: " + why.ToString());
   };
-  Result<SectionReader> reader = SectionReader::Open(in, kCheckpointMagic);
+  Result<SectionReader> reader =
+      SectionReader::Open(*content, kCheckpointMagic);
   if (!reader.ok()) return invalid(reader.status());
   Result<Section> meta = reader->Expect("meta");
   if (!meta.ok()) return invalid(meta.status());
-  std::istringstream meta_stream(meta->payload);
+  std::istringstream meta_stream{std::string(meta->payload)};
   std::string key, fingerprint_hex, stage_key, stored_stage;
   meta_stream >> key >> fingerprint_hex >> stage_key >> stored_stage;
   if (key != "fingerprint" ||
@@ -109,7 +109,7 @@ Result<std::map<std::string, std::string>> CheckpointManager::Read(
     Result<std::optional<Section>> next = reader->Next();
     if (!next.ok()) return invalid(next.status());
     if (!next->has_value()) break;
-    result[(*next)->name] = std::move((*next)->payload);
+    result[(*next)->name] = std::string((*next)->payload);
   }
   ++resumed_;
   return result;

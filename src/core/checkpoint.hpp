@@ -9,9 +9,11 @@
 // from-scratch run would produce.
 //
 // Each checkpoint file is a section-framed stream (common/sections.hpp)
-// with magic "BEPI-CKPT v1" whose first section binds it to a fingerprint
-// of the (graph, options) pair; stale or corrupt checkpoints are ignored
-// with a warning — resume never trades correctness for speed.
+// with magic "BEPI-CKPT v2" whose first section binds it to a fingerprint
+// of the (graph, options) pair; matrices and index vectors inside it use
+// the binary codec of sparse/io.hpp. Stale, corrupt or older-format (v1,
+// text payloads) checkpoints are ignored with a warning and the stage is
+// recomputed — resume never trades correctness for speed.
 #ifndef BEPI_CORE_CHECKPOINT_HPP_
 #define BEPI_CORE_CHECKPOINT_HPP_
 

@@ -54,49 +54,6 @@ Status FactorNoPivot(DenseMatrix* a) {
   return Status::Ok();
 }
 
-std::string EncodeIndexVector(const std::vector<index_t>& v) {
-  std::ostringstream out;
-  out << v.size() << "\n";
-  for (index_t x : v) out << x << "\n";
-  return out.str();
-}
-
-Status DecodeIndexVector(const std::string& payload,
-                         std::vector<index_t>* out) {
-  std::istringstream in(payload);
-  std::uint64_t count = 0;
-  if (!(in >> count)) {
-    return Status::DataLoss("index vector payload has no size line");
-  }
-  // Each entry occupies at least two bytes ("0\n"); a count beyond the
-  // payload size is a lie and must not drive a reserve().
-  if (count > payload.size()) {
-    return Status::DataLoss("index vector claims " + std::to_string(count) +
-                            " entries in a " +
-                            std::to_string(payload.size()) + "-byte payload");
-  }
-  out->clear();
-  out->reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    index_t x = 0;
-    if (!(in >> x)) return Status::DataLoss("truncated index vector payload");
-    out->push_back(x);
-  }
-  return Status::Ok();
-}
-
-Result<std::string> EncodeMatrix(const CsrMatrix& m) {
-  std::ostringstream out;
-  BEPI_RETURN_IF_ERROR(WriteMatrixMarket(m, out));
-  return out.str();
-}
-
-Result<CsrMatrix> DecodeMatrix(const std::string& payload, index_t rows,
-                               index_t cols) {
-  std::istringstream in(payload);
-  return ReadMatrixMarket(in, rows, cols);
-}
-
 Result<const std::string*> FindPayload(const CheckpointSections& sections,
                                        const std::string& name) {
   auto it = sections.find(name);
@@ -116,7 +73,7 @@ Status DecodeDeadend(const CheckpointSections& sections, index_t n,
   }
   BEPI_ASSIGN_OR_RETURN(const std::string* perm,
                         FindPayload(sections, "perm"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*perm, &out->perm));
+  BEPI_ASSIGN_OR_RETURN(out->perm, DecodeIndexVector(*perm));
   if (out->num_non_deadends < 0 || out->num_deadends < 0 ||
       out->num_non_deadends + out->num_deadends != n ||
       static_cast<index_t>(out->perm.size()) != n ||
@@ -136,10 +93,10 @@ Status DecodeSlashBurnRound(const CheckpointSections& sections, index_t nn,
   }
   BEPI_ASSIGN_OR_RETURN(const std::string* perm,
                         FindPayload(sections, "perm"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*perm, &out->perm));
+  BEPI_ASSIGN_OR_RETURN(out->perm, DecodeIndexVector(*perm));
   BEPI_ASSIGN_OR_RETURN(const std::string* blocks,
                         FindPayload(sections, "blocks"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*blocks, &out->block_sizes));
+  BEPI_ASSIGN_OR_RETURN(out->block_sizes, DecodeIndexVector(*blocks));
   if (static_cast<index_t>(out->perm.size()) != nn) {
     return Status::DataLoss("SlashBurn round checkpoint is inconsistent");
   }
@@ -160,10 +117,10 @@ Status DecodeReorder(const CheckpointSections& sections,
   }
   BEPI_ASSIGN_OR_RETURN(const std::string* perm,
                         FindPayload(sections, "perm"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*perm, &dec->perm));
+  BEPI_ASSIGN_OR_RETURN(dec->perm, DecodeIndexVector(*perm));
   BEPI_ASSIGN_OR_RETURN(const std::string* blocks,
                         FindPayload(sections, "blocks"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*blocks, &dec->block_sizes));
+  BEPI_ASSIGN_OR_RETURN(dec->block_sizes, DecodeIndexVector(*blocks));
   index_t block_sum = 0;
   for (index_t size : dec->block_sizes) {
     if (size <= 0) return Status::DataLoss("non-positive block size");
@@ -198,12 +155,12 @@ Status DecodeFactor(const CheckpointSections& sections, index_t n1,
   if (!(in >> done) || done > num_blocks) {
     return Status::DataLoss("malformed factor progress");
   }
-  BEPI_ASSIGN_OR_RETURN(const std::string* l1_text,
+  BEPI_ASSIGN_OR_RETURN(const std::string* l1_payload,
                         FindPayload(sections, "l1"));
-  BEPI_ASSIGN_OR_RETURN(CsrMatrix l1_csr, DecodeMatrix(*l1_text, n1, n1));
-  BEPI_ASSIGN_OR_RETURN(const std::string* u1_text,
+  BEPI_ASSIGN_OR_RETURN(CsrMatrix l1_csr, DecodeCsr(*l1_payload, n1, n1));
+  BEPI_ASSIGN_OR_RETURN(const std::string* u1_payload,
                         FindPayload(sections, "u1"));
-  BEPI_ASSIGN_OR_RETURN(CsrMatrix u1_csr, DecodeMatrix(*u1_text, n1, n1));
+  BEPI_ASSIGN_OR_RETURN(CsrMatrix u1_csr, DecodeCsr(*u1_payload, n1, n1));
   AppendCsrToCoo(l1_csr, l1);
   AppendCsrToCoo(u1_csr, u1);
   *blocks_done = static_cast<std::size_t>(done);
@@ -214,13 +171,11 @@ Status WriteFactorCsrCheckpoint(CheckpointManager* checkpoints,
                                 std::size_t blocks_done,
                                 const CsrMatrix& l1_csr,
                                 const CsrMatrix& u1_csr) {
-  BEPI_ASSIGN_OR_RETURN(std::string l1_text, EncodeMatrix(l1_csr));
-  BEPI_ASSIGN_OR_RETURN(std::string u1_text, EncodeMatrix(u1_csr));
   std::ostringstream progress;
   progress << blocks_done << "\n";
   return checkpoints->Write(kStageFactor, {{"progress", progress.str()},
-                                           {"l1", std::move(l1_text)},
-                                           {"u1", std::move(u1_text)}});
+                                           {"l1", EncodeCsr(l1_csr)},
+                                           {"u1", EncodeCsr(u1_csr)}});
 }
 
 Status WriteFactorCheckpoint(CheckpointManager* checkpoints,
@@ -693,8 +648,7 @@ Result<HubSpokeDecomposition> BuildDecomposition(
         }
         BEPI_ASSIGN_OR_RETURN(const std::string* schur,
                               FindPayload(*ckpt, "schur"));
-        BEPI_ASSIGN_OR_RETURN(dec.schur,
-                              DecodeMatrix(*schur, dec.n2, dec.n2));
+        BEPI_ASSIGN_OR_RETURN(dec.schur, DecodeCsr(*schur, dec.n2, dec.n2));
         return Status::Ok();
       }();
       if (decoded.ok()) {
@@ -711,16 +665,12 @@ Result<HubSpokeDecomposition> BuildDecomposition(
     dec.product_nnz = t3.nnz();
     BEPI_ASSIGN_OR_RETURN(dec.schur, Subtract(dec.h22, t3));
     if (checkpoints != nullptr) {
-      const Status written = [&]() -> Status {
-        BEPI_ASSIGN_OR_RETURN(std::string schur_text,
-                              EncodeMatrix(dec.schur));
-        std::ostringstream meta;
-        meta << dec.product_nnz << "\n";
-        return checkpoints->Write(kStageSchur,
-                                  {{"meta", meta.str()},
-                                   {"schur", std::move(schur_text)}});
-      }();
-      WarnOnCheckpointFailure(written, kStageSchur);
+      std::ostringstream meta;
+      meta << dec.product_nnz << "\n";
+      WarnOnCheckpointFailure(
+          checkpoints->Write(kStageSchur, {{"meta", meta.str()},
+                                           {"schur", EncodeCsr(dec.schur)}}),
+          kStageSchur);
     }
   }
   if (budget != nullptr) {

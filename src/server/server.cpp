@@ -144,6 +144,8 @@ QueryServer::QueryServer(const BepiSolver& solver, ServeOptions options)
     registry.GetCounter(name);
   }
   registry.GetGauge("server.inflight");
+  // Set by BepiSolver::LoadFile when the model was loaded at startup.
+  registry.GetGauge("model.load_seconds");
   registry.GetHistogram("server.latency_seconds");
   registry.GetHistogram("server.batch_width");
 }

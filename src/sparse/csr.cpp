@@ -351,7 +351,11 @@ Status CsrMatrix::Validate() const {
   for (index_t r = 0; r < rows_; ++r) {
     const index_t begin = row_ptr_[static_cast<std::size_t>(r)];
     const index_t end = row_ptr_[static_cast<std::size_t>(r) + 1];
-    if (begin > end) return Status::InvalidArgument("row_ptr not monotone");
+    // Bounded by nnz before the scan, or an overshooting row_ptr reads
+    // past col_idx.
+    if (begin > end || end > row_ptr_.back()) {
+      return Status::InvalidArgument("row_ptr not monotone");
+    }
     for (index_t p = begin; p < end; ++p) {
       const index_t c = col_idx_[static_cast<std::size_t>(p)];
       if (c < 0 || c >= cols_) {

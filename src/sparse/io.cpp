@@ -1,150 +1,129 @@
 #include "sparse/io.hpp"
 
-#include <charconv>
-#include <fstream>
-#include <sstream>
-
-#include "common/fileio.hpp"
-#include "sparse/coo.hpp"
+#include <bit>
+#include <cstdint>
+#include <cstring>
 
 namespace bepi {
+namespace {
 
-Status WriteMatrixMarket(const CsrMatrix& m, std::ostream& out) {
-  out << "%%MatrixMarket matrix coordinate real general\n";
-  out << m.rows() << " " << m.cols() << " " << m.nnz() << "\n";
-  // Entries are emitted through to_chars into a chunked buffer: the
-  // shortest representation that parses back to the exact same double,
-  // several times faster than iostream formatting. Serialization speed is
-  // what bounds checkpointing overhead during preprocessing.
-  constexpr std::size_t kFlushAt = std::size_t{1} << 16;
-  std::string buffer;
-  buffer.reserve(kFlushAt + 64);
-  char scratch[32];
-  const auto append = [&buffer, &scratch](auto value) {
-    const auto [end, ec] =
-        std::to_chars(scratch, scratch + sizeof(scratch), value);
-    buffer.append(scratch, end);
-  };
-  for (index_t r = 0; r < m.rows(); ++r) {
-    for (index_t p = m.row_ptr()[static_cast<std::size_t>(r)];
-         p < m.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
-      append(r + 1);
-      buffer += ' ';
-      append(m.col_idx()[static_cast<std::size_t>(p)] + 1);
-      buffer += ' ';
-      append(m.values()[static_cast<std::size_t>(p)]);
-      buffer += '\n';
-      if (buffer.size() >= kFlushAt) {
-        out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-        buffer.clear();
-      }
-    }
-  }
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  if (!out) return Status::IoError("failed writing MatrixMarket stream");
-  return Status::Ok();
+// The payloads are the in-memory arrays byte for byte, so the format is
+// only portable between hosts with this layout. Every supported target
+// has it; a big-endian port would need byte swapping here.
+static_assert(std::endian::native == std::endian::little,
+              "binary CSR payloads assume a little-endian host");
+static_assert(sizeof(index_t) == 8 && sizeof(real_t) == 8,
+              "binary CSR payloads hold 8-byte indices and values");
+
+constexpr std::size_t kWord = 8;
+constexpr std::size_t kCsrHeaderBytes = 3 * kWord;
+
+template <typename T>
+void Append(std::string* out, const T* data, std::size_t count) {
+  if (count == 0) return;
+  out->append(reinterpret_cast<const char*>(data), count * sizeof(T));
 }
 
-Status WriteMatrixMarketFile(const CsrMatrix& m, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  return WriteMatrixMarket(m, out);
+/// Copies `count` elements from `payload` at `*offset` and advances it.
+/// Callers have already checked the payload length.
+template <typename T>
+void Take(std::string_view payload, std::size_t* offset, T* out,
+          std::size_t count) {
+  if (count == 0) return;
+  std::memcpy(out, payload.data() + *offset, count * sizeof(T));
+  *offset += count * sizeof(T);
 }
 
-Result<CsrMatrix> ReadMatrixMarket(std::istream& in, index_t expect_rows,
-                                   index_t expect_cols) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IoError("empty MatrixMarket stream");
+}  // namespace
+
+std::string EncodeCsr(const CsrMatrix& m) {
+  const index_t header[3] = {m.rows(), m.cols(), m.nnz()};
+  std::string out;
+  out.reserve(kCsrHeaderBytes +
+              kWord * (m.row_ptr().size() + 2 * m.values().size()));
+  Append(&out, header, 3);
+  Append(&out, m.row_ptr().data(), m.row_ptr().size());
+  Append(&out, m.col_idx().data(), m.col_idx().size());
+  Append(&out, m.values().data(), m.values().size());
+  return out;
+}
+
+Result<CsrMatrix> DecodeCsr(std::string_view payload, index_t expect_rows,
+                            index_t expect_cols) {
+  if (payload.size() < kCsrHeaderBytes) {
+    return Status::DataLoss("CSR payload of " +
+                            std::to_string(payload.size()) +
+                            " bytes is shorter than its header");
   }
-  if (line.rfind("%%MatrixMarket", 0) != 0) {
-    return Status::IoError("missing MatrixMarket header");
-  }
-  const bool symmetric = line.find("symmetric") != std::string::npos;
-  const bool pattern = line.find("pattern") != std::string::npos;
-  if (line.find("coordinate") == std::string::npos) {
-    return Status::IoError("only coordinate format is supported");
-  }
-  // Skip comments.
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '%') break;
-  }
-  std::istringstream dims(line);
-  index_t rows = -1, cols = -1, nnz = -1;
-  dims >> rows >> cols >> nnz;
+  std::size_t offset = 0;
+  index_t header[3];
+  Take(payload, &offset, header, 3);
+  const index_t rows = header[0], cols = header[1], nnz = header[2];
   if (rows < 0 || cols < 0 || nnz < 0) {
-    return Status::IoError("malformed size line: " + line);
+    return Status::DataLoss("CSR payload declares a negative dimension");
   }
   if ((expect_rows >= 0 && rows != expect_rows) ||
       (expect_cols >= 0 && cols != expect_cols)) {
-    return Status::IoError(
-        "matrix dimensions " + std::to_string(rows) + "x" +
-        std::to_string(cols) + " do not match the expected " +
-        std::to_string(expect_rows) + "x" + std::to_string(expect_cols));
+    return Status::DataLoss(
+        "CSR payload is " + std::to_string(rows) + "x" +
+        std::to_string(cols) + ", expected " + std::to_string(expect_rows) +
+        "x" + std::to_string(expect_cols));
   }
-  // Allocation-bomb guard: every entry line takes at least 4 bytes
-  // ("1 1\n"), so a claimed nnz beyond remaining/4 cannot be satisfied.
-  // Trailing unrelated data only makes this cap more permissive, never
-  // rejects a well-formed stream.
-  const std::int64_t remaining = StreamRemainingBytes(in);
-  if (remaining >= 0 && nnz > remaining / 3 + 1) {
-    return Status::IoError("size line claims " + std::to_string(nnz) +
-                           " entries but only " + std::to_string(remaining) +
-                           " bytes remain in the stream");
+  // The exact length must be 24 + 8 (rows + 1) + 16 nnz. Bounding each
+  // count by the words present first keeps the sum from overflowing, and
+  // nothing is allocated for a header the payload cannot back.
+  const std::uint64_t words = (payload.size() - kCsrHeaderBytes) / kWord;
+  const std::uint64_t r = static_cast<std::uint64_t>(rows);
+  const std::uint64_t z = static_cast<std::uint64_t>(nnz);
+  if (payload.size() % kWord != 0 || r + 1 > words || z > words ||
+      r + 1 + 2 * z != words) {
+    return Status::DataLoss(
+        "CSR payload of " + std::to_string(payload.size()) +
+        " bytes does not match its header (" + std::to_string(rows) + "x" +
+        std::to_string(cols) + ", " + std::to_string(nnz) + " entries)");
   }
-  CooMatrix coo(rows, cols);
-  coo.Reserve(static_cast<std::size_t>(symmetric ? 2 * nnz : nnz));
-  // Fast path: from_chars over the line, no stream construction per entry.
-  // Lines it cannot handle (e.g. a '+' sign or exotic spacing) fall back
-  // to the permissive istringstream parse.
-  const auto parse_fast = [pattern](const std::string& text, index_t* r,
-                                    index_t* c, real_t* v) {
-    const char* p = text.data();
-    const char* const end = p + text.size();
-    const auto skip = [&p, end] {
-      while (p < end && (*p == ' ' || *p == '\t')) ++p;
-    };
-    skip();
-    auto rr = std::from_chars(p, end, *r);
-    if (rr.ec != std::errc()) return false;
-    p = rr.ptr;
-    skip();
-    auto rc = std::from_chars(p, end, *c);
-    if (rc.ec != std::errc()) return false;
-    p = rc.ptr;
-    if (!pattern) {
-      skip();
-      auto rv = std::from_chars(p, end, *v);
-      if (rv.ec != std::errc()) return false;
-      p = rv.ptr;
-    }
-    skip();
-    return p == end;
-  };
-  for (index_t i = 0; i < nnz; ++i) {
-    if (!std::getline(in, line)) {
-      return Status::IoError("truncated MatrixMarket stream");
-    }
-    index_t r = 0, c = 0;
-    real_t v = 1.0;
-    if (!parse_fast(line, &r, &c, &v)) {
-      std::istringstream entry(line);
-      entry >> r >> c;
-      if (!pattern) entry >> v;
-      if (entry.fail()) {
-        return Status::IoError("malformed entry line: " + line);
-      }
-    }
-    coo.Add(r - 1, c - 1, v);
-    if (symmetric && r != c) coo.Add(c - 1, r - 1, v);
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(r) + 1);
+  std::vector<index_t> col_idx(static_cast<std::size_t>(z));
+  std::vector<real_t> values(static_cast<std::size_t>(z));
+  Take(payload, &offset, row_ptr.data(), row_ptr.size());
+  Take(payload, &offset, col_idx.data(), col_idx.size());
+  Take(payload, &offset, values.data(), values.size());
+  Result<CsrMatrix> m = CsrMatrix::FromParts(
+      rows, cols, std::move(row_ptr), std::move(col_idx), std::move(values));
+  if (!m.ok()) {
+    return Status::DataLoss("CSR payload is not a valid matrix: " +
+                            m.status().message());
   }
-  return coo.ToCsr();
+  return m;
 }
 
-Result<CsrMatrix> ReadMatrixMarketFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  return ReadMatrixMarket(in);
+std::string EncodeIndexVector(const std::vector<index_t>& v) {
+  const index_t count = static_cast<index_t>(v.size());
+  std::string out;
+  out.reserve(kWord * (v.size() + 1));
+  Append(&out, &count, 1);
+  Append(&out, v.data(), v.size());
+  return out;
+}
+
+Result<std::vector<index_t>> DecodeIndexVector(std::string_view payload) {
+  if (payload.size() < kWord || payload.size() % kWord != 0) {
+    return Status::DataLoss("index vector payload of " +
+                            std::to_string(payload.size()) +
+                            " bytes is not a whole number of int64 words");
+  }
+  std::size_t offset = 0;
+  index_t count = 0;
+  Take(payload, &offset, &count, 1);
+  if (count < 0 ||
+      static_cast<std::uint64_t>(count) != payload.size() / kWord - 1) {
+    return Status::DataLoss("index vector claims " + std::to_string(count) +
+                            " entries in a " +
+                            std::to_string(payload.size()) + "-byte payload");
+  }
+  std::vector<index_t> v(static_cast<std::size_t>(count));
+  Take(payload, &offset, v.data(), v.size());
+  return v;
 }
 
 }  // namespace bepi

@@ -1,31 +1,44 @@
-// Matrix text IO in MatrixMarket coordinate format (1-based indices), so
-// matrices round-trip to files inspectable by standard tools.
+// Binary codec for the CSR matrices and index vectors the durable stores
+// (model format v4, preprocessing checkpoints) hold. A payload is the raw
+// little-endian arrays, so a round-trip is exact by construction and
+// decoding is a length check plus a memcpy per array:
+//
+//   CSR:          int64 rows, cols, nnz
+//                 int64 row_ptr[rows + 1]
+//                 int64 col_idx[nnz]
+//                 double values[nnz]       (IEEE-754 binary64)
+//   index vector: int64 count
+//                 int64 entries[count]
+//
+// The payload carries no checksum of its own: the section framing
+// (common/sections.hpp) around it does.
 #ifndef BEPI_SPARSE_IO_HPP_
 #define BEPI_SPARSE_IO_HPP_
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/status.hpp"
 #include "sparse/csr.hpp"
 
 namespace bepi {
 
-/// Writes `m` in MatrixMarket "coordinate real general" format.
-Status WriteMatrixMarket(const CsrMatrix& m, std::ostream& out);
-Status WriteMatrixMarketFile(const CsrMatrix& m, const std::string& path);
+std::string EncodeCsr(const CsrMatrix& m);
 
-/// Reads a MatrixMarket coordinate file. Supports the "general" and
-/// "symmetric" qualifiers (symmetric entries are mirrored); "pattern"
-/// matrices get value 1.0 per entry. The claimed entry count is sanity-
-/// capped against the remaining stream size before anything is allocated,
-/// so a corrupted size line cannot trigger a huge allocation. When
-/// `expect_rows`/`expect_cols` are >= 0 the declared dimensions must match
-/// them exactly (callers that know the shape, e.g. the model loader, reject
-/// dimension bombs before any allocation).
-Result<CsrMatrix> ReadMatrixMarket(std::istream& in, index_t expect_rows = -1,
-                                   index_t expect_cols = -1);
-Result<CsrMatrix> ReadMatrixMarketFile(const std::string& path);
+/// Decodes an EncodeCsr payload. Before anything is allocated, the header
+/// must declare exactly `expect_rows` x `expect_cols` (when >= 0) and the
+/// payload length must be exactly the one the header implies; the arrays
+/// are then validated (monotone row_ptr, sorted unique in-range columns).
+/// Every failure is DataLoss.
+Result<CsrMatrix> DecodeCsr(std::string_view payload, index_t expect_rows = -1,
+                            index_t expect_cols = -1);
+
+std::string EncodeIndexVector(const std::vector<index_t>& v);
+
+/// Decodes an EncodeIndexVector payload; the length must match the count
+/// exactly. Failures are DataLoss.
+Result<std::vector<index_t>> DecodeIndexVector(std::string_view payload);
 
 }  // namespace bepi
 

@@ -8,6 +8,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -174,6 +175,52 @@ TEST_F(CheckpointTest, CheckpointedBuildMatchesScratchBitwise) {
   EXPECT_EQ(resumer.checkpoints_resumed(), 3);
   EXPECT_EQ(resumer.checkpoints_written(), 0);
   ExpectDecompositionEq(*scratch, *resumed);
+}
+
+std::string SaveModel(const BepiSolver& solver) {
+  std::ostringstream out;
+  EXPECT_TRUE(solver.Save(out).ok());
+  return out.str();
+}
+
+TEST_F(CheckpointTest, LeftoverV1CheckpointsAreDiscardedWithAWarning) {
+  Graph g = test::SmallRmat(120, 500, 0.25, 3011);
+  BepiSolver scratch(BepiOptions{});
+  ASSERT_TRUE(scratch.Preprocess(g).ok());
+  {
+    CheckpointManager manager(Dir());
+    BepiSolver first(BepiOptions{});
+    ASSERT_TRUE(first.Preprocess(g, &manager).ok());
+  }
+  // Relabel every checkpoint with the magic of the text-payload format an
+  // older build wrote; the magic line is outside every checksum, so only
+  // the version check can turn these files away.
+  int relabeled = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(Dir())) {
+    if (entry.path().extension() != ".ckpt") continue;
+    std::string content;
+    {
+      std::ifstream in(entry.path(), std::ios::binary);
+      content.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_EQ(content.rfind("BEPI-CKPT v2\n", 0), 0u) << entry.path();
+    content[11] = '1';
+    std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+        << content;
+    ++relabeled;
+  }
+  ASSERT_GT(relabeled, 0);
+
+  testing::internal::CaptureStderr();
+  CheckpointManager manager(Dir());
+  BepiSolver resumed(BepiOptions{});
+  const Status status = resumed.Preprocess(g, &manager);
+  const std::string log = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(resumed.info().checkpoints_resumed, 0);
+  EXPECT_NE(log.find("ignoring checkpoint"), std::string::npos) << log;
+  EXPECT_NE(log.find("BEPI-CKPT v1"), std::string::npos) << log;
+  EXPECT_EQ(SaveModel(resumed), SaveModel(scratch));
 }
 
 TEST_F(CheckpointTest, ResumeFromEachStagePrefixMatchesScratch) {

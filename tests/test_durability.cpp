@@ -1,22 +1,27 @@
 // Durable model store: CRC32C, atomic file writes, section framing, and
-// the v3 model format's corruption detection (fuzz-style truncation and
+// the model format's corruption detection (fuzz-style truncation and
 // byte-flip sweeps, load-compat matrix across format versions, allocation
-// bombs).
+// bombs). The ModelV3Test cases date from format v3, which introduced the
+// checksummed section framing; they run against the current v4 format,
+// which keeps that framing around binary payloads.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstddef>
+#include <cstring>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/checksum.hpp"
 #include "common/faultinject.hpp"
 #include "common/fileio.hpp"
+#include "common/parallel.hpp"
 #include "common/sections.hpp"
 #include "core/bepi.hpp"
 #include "sparse/io.hpp"
@@ -226,8 +231,8 @@ std::string FramedStream() {
 }
 
 TEST(Sections, RoundTrip) {
-  std::istringstream in(FramedStream());
-  auto reader = SectionReader::Open(in, "TEST-MAGIC v1");
+  const std::string framed = FramedStream();
+  auto reader = SectionReader::Open(framed, "TEST-MAGIC v1");
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   auto alpha = reader->Expect("alpha");
   ASSERT_TRUE(alpha.ok());
@@ -245,12 +250,14 @@ TEST(Sections, RoundTrip) {
 }
 
 TEST(Sections, WrongMagicRejected) {
-  std::istringstream in(FramedStream());
-  EXPECT_FALSE(SectionReader::Open(in, "OTHER-MAGIC").ok());
+  const std::string framed = FramedStream();
+  EXPECT_FALSE(SectionReader::Open(framed, "OTHER-MAGIC").ok());
+  EXPECT_FALSE(SectionReader::Open("", "TEST-MAGIC v1").ok());
+  EXPECT_FALSE(SectionReader::Open("TEST-MAGIC v1", "TEST-MAGIC v1").ok());
 }
 
-Status DrainReader(std::istream& in) {
-  auto reader = SectionReader::Open(in, "TEST-MAGIC v1");
+Status DrainReader(std::string_view framed) {
+  auto reader = SectionReader::Open(framed, "TEST-MAGIC v1");
   if (!reader.ok()) return reader.status();
   while (!reader->done()) {
     auto next = reader->Next();
@@ -262,13 +269,11 @@ Status DrainReader(std::istream& in) {
 TEST(Sections, EveryTruncationIsDetected) {
   const std::string intact = FramedStream();
   for (std::size_t len = 0; len < intact.size(); ++len) {
-    std::istringstream in(intact.substr(0, len));
-    const Status status = DrainReader(in);
+    const Status status = DrainReader(std::string_view(intact).substr(0, len));
     EXPECT_FALSE(status.ok()) << "truncation at byte " << len
                               << " went unnoticed";
   }
-  std::istringstream in(intact);
-  EXPECT_TRUE(DrainReader(in).ok());
+  EXPECT_TRUE(DrainReader(intact).ok());
 }
 
 TEST(Sections, EveryByteFlipIsDetected) {
@@ -276,8 +281,7 @@ TEST(Sections, EveryByteFlipIsDetected) {
   for (std::size_t pos = 0; pos < intact.size(); ++pos) {
     std::string corrupted = intact;
     corrupted[pos] ^= 0x01;
-    std::istringstream in(corrupted);
-    const Status status = DrainReader(in);
+    const Status status = DrainReader(corrupted);
     EXPECT_FALSE(status.ok()) << "byte flip at " << pos << " went unnoticed";
   }
 }
@@ -315,7 +319,42 @@ TEST(Sections, CheckIntegrityReportsEverySection) {
 }
 
 // ---------------------------------------------------------------------------
-// Model format v3
+// Model format (checksummed sections since v3, binary payloads since v4)
+
+/// `model` with the payload of section `name` replaced by `payload` and
+/// every section re-framed, so all checksums are valid again: what is left
+/// to catch the damage is the payload decoder.
+std::string WithPayload(const std::string& model, const std::string& name,
+                        const std::string& payload) {
+  auto reader = SectionReader::Open(model, "BEPI-MODEL v4");
+  EXPECT_TRUE(reader.ok());
+  std::ostringstream out;
+  SectionWriter writer(out, "BEPI-MODEL v4");
+  for (;;) {
+    auto section = reader->Next();
+    EXPECT_TRUE(section.ok());
+    if (!section.ok() || !section->has_value()) break;
+    EXPECT_TRUE(writer
+                    .Add((*section)->name,
+                         (*section)->name == name ? payload
+                                                  : (*section)->payload)
+                    .ok());
+  }
+  EXPECT_TRUE(writer.Finish().ok());
+  return out.str();
+}
+
+/// The payload of section `name` of `model`.
+std::string PayloadOf(const std::string& model, const std::string& name) {
+  auto reader = SectionReader::Open(model, "BEPI-MODEL v4");
+  EXPECT_TRUE(reader.ok());
+  for (;;) {
+    auto section = reader->Next();
+    EXPECT_TRUE(section.ok());
+    if (!section.ok() || !section->has_value()) return "";
+    if ((*section)->name == name) return std::string((*section)->payload);
+  }
+}
 
 class ModelV3Test : public DurabilityTest {
  protected:
@@ -340,13 +379,25 @@ TEST_F(ModelV3Test, SaveProducesVerifiableSections) {
   BepiSolver solver = MakeSolver();
   ASSERT_TRUE(solver.Preprocess(g).ok());
   const std::string model = SaveToString(solver);
-  EXPECT_EQ(model.rfind("BEPI-MODEL v3\n", 0), 0u);
+  EXPECT_EQ(model.rfind("BEPI-MODEL v4\n", 0), 0u);
   std::istringstream in(model);
   const IntegrityReport report = CheckIntegrity(in, "BEPI-MODEL");
   EXPECT_TRUE(report.overall.ok()) << report.overall.ToString();
   EXPECT_TRUE(report.manifest_ok);
-  // options + perm + 9 matrices + spoke blocks.
-  EXPECT_EQ(report.sections.size(), 12u);
+  // options + sizes + perm + 9 matrices + spoke blocks.
+  ASSERT_EQ(report.sections.size(), 13u);
+  // Every matrix payload is exactly its raw arrays.
+  const HubSpokeDecomposition& dec = solver.decomposition();
+  for (const SectionCheck& check : report.sections) {
+    if (check.name == "schur") {
+      EXPECT_EQ(check.length,
+                static_cast<std::uint64_t>(24 + 8 * (dec.n2 + 1) +
+                                           16 * dec.schur.nnz()));
+    }
+    if (check.name == "perm") {
+      EXPECT_EQ(check.length, static_cast<std::uint64_t>(8 * (dec.n + 1)));
+    }
+  }
 }
 
 TEST_F(ModelV3Test, RoundTripIsBitwiseIdentical) {
@@ -358,18 +409,46 @@ TEST_F(ModelV3Test, RoundTripIsBitwiseIdentical) {
   auto loaded = BepiSolver::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(SaveToString(*loaded), first);
-  // And queries agree.
-  auto r1 = solver.Query(11);
-  auto r2 = loaded->Query(11);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_LT(DistL2(*r1, *r2), 1e-12);
+  // The loaded solver answers bit for bit what the preprocessed one does,
+  // with and without the pool.
+  for (int threads : {1, 4}) {
+    ASSERT_TRUE(ParallelContext::Global().SetNumThreads(threads).ok());
+    for (index_t seed : {0, 11, 57, 99}) {
+      auto r1 = solver.Query(seed);
+      auto r2 = loaded->Query(seed);
+      ASSERT_TRUE(r1.ok());
+      ASSERT_TRUE(r2.ok());
+      EXPECT_EQ(*r1, *r2) << "seed " << seed << ", " << threads
+                          << " threads";
+    }
+  }
+  ASSERT_TRUE(ParallelContext::Global().SetNumThreads(0).ok());
 }
 
-/// Older writers appended a "kernel" section (resolved index path plus
-/// ILU(0) level schedules) ahead of "blocks". Rebuilds that layout from a
-/// current model; loaders must skip the section and answer exactly as the
-/// model without it does.
+TEST_F(ModelV3Test, TruncationAtEveryByteOfAMatrixPayloadIsRejected) {
+  Graph g = test::SmallRmat(60, 240, 0.2, 2087);
+  BepiSolver solver = MakeSolver();
+  ASSERT_TRUE(solver.Preprocess(g).ok());
+  const std::string model = SaveToString(solver);
+  const std::string h12 = PayloadOf(model, "h12");
+  ASSERT_GT(h12.size(), 24u);
+  for (std::size_t cut = 0; cut < h12.size(); ++cut) {
+    std::istringstream in(WithPayload(model, "h12", h12.substr(0, cut)));
+    auto loaded = BepiSolver::Load(in);
+    ASSERT_FALSE(loaded.ok()) << "h12 cut at byte " << cut;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(loaded.status().message().find("h12"), std::string::npos)
+        << loaded.status().ToString();
+  }
+  // The re-framing itself is sound: the untruncated payload loads.
+  std::istringstream intact(WithPayload(model, "h12", h12));
+  EXPECT_TRUE(BepiSolver::Load(intact).ok());
+}
+
+/// Loaders skip sections they do not know. Inserts a "kernel" section
+/// like the one older writers appended ahead of "blocks" (resolved index
+/// path plus ILU(0) level schedules); the model must answer exactly as
+/// the one without it does.
 std::string WithLegacyKernelSection(const std::string& model, index_t n2) {
   std::ostringstream kernel;
   kernel << "path compact\n";
@@ -381,11 +460,10 @@ std::string WithLegacyKernelSection(const std::string& model, index_t n2) {
       kernel << (lower ? i : n2 - 1 - i) << (i + 1 == n2 ? '\n' : ' ');
     }
   }
-  std::istringstream in(model);
-  auto reader = SectionReader::Open(in, "BEPI-MODEL v3");
+  auto reader = SectionReader::Open(model, "BEPI-MODEL v4");
   EXPECT_TRUE(reader.ok());
   std::ostringstream out;
-  SectionWriter writer(out, "BEPI-MODEL v3");
+  SectionWriter writer(out, "BEPI-MODEL v4");
   for (;;) {
     auto section = reader->Next();
     EXPECT_TRUE(section.ok());
@@ -412,8 +490,8 @@ TEST_F(ModelV3Test, LegacyKernelSectionIsSkippedOnLoad) {
   const IntegrityReport report = CheckIntegrity(scan, "BEPI-MODEL");
   EXPECT_TRUE(report.overall.ok()) << report.overall.ToString();
   EXPECT_TRUE(report.manifest_ok);
-  ASSERT_EQ(report.sections.size(), 13u);
-  EXPECT_EQ(report.sections[11].name, "kernel");
+  ASSERT_EQ(report.sections.size(), 14u);
+  EXPECT_EQ(report.sections[12].name, "kernel");
   for (const SectionCheck& check : report.sections) {
     EXPECT_TRUE(check.ok) << check.name;
   }
@@ -490,63 +568,80 @@ TEST_F(ModelV3Test, LoadCompatMatrixAcrossFormatVersions) {
   auto reference = solver.Query(5);
   ASSERT_TRUE(reference.ok());
 
-  // Only the framed v3 format loads; the unframed v1/v2 text formats are
-  // refused by header (preprocessing regenerates a model).
-  std::istringstream v3(SaveToString(solver));
-  auto loaded = BepiSolver::Load(v3);
+  // Only the binary v4 format loads; the text formats (unframed v1/v2,
+  // framed v3) are refused by header, and the message says how to get a
+  // loadable model.
+  const std::string model = SaveToString(solver);
+  std::istringstream v4(model);
+  auto loaded = BepiSolver::Load(v4);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   auto result = loaded->Query(5);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*reference, *result);
+  std::vector<std::string> legacy_streams;
   for (const char* header : {"BEPI-MODEL v1", "BEPI-MODEL v2"}) {
-    std::istringstream in(std::string(header) +
-                          "\n2 0.05 1e-9 300 100 0.2\n");
+    legacy_streams.push_back(std::string(header) +
+                             "\n2 0.05 1e-9 300 100 0.2\n");
+  }
+  // A v3 file: the same framing, text payloads.
+  {
+    std::ostringstream out;
+    SectionWriter writer(out, "BEPI-MODEL v3");
+    ASSERT_TRUE(writer.Add("options", "2 0.05 1e-9 300 100 0.2\n").ok());
+    ASSERT_TRUE(writer.Add("perm", "3 1 1 1\n0 1 2\n").ok());
+    ASSERT_TRUE(writer.Finish().ok());
+    legacy_streams.push_back(out.str());
+  }
+  for (const std::string& stream : legacy_streams) {
+    std::istringstream in(stream);
     auto legacy = BepiSolver::Load(in);
+    const std::string header = stream.substr(0, stream.find('\n'));
     ASSERT_FALSE(legacy.ok()) << header;
     EXPECT_EQ(legacy.status().code(), StatusCode::kIoError) << header;
     EXPECT_NE(legacy.status().message().find("bad header"),
               std::string::npos)
         << header << ": " << legacy.status().ToString();
+    EXPECT_NE(legacy.status().message().find(header), std::string::npos)
+        << legacy.status().ToString();
+    EXPECT_NE(legacy.status().message().find("re-run preprocess"),
+              std::string::npos)
+        << legacy.status().ToString();
   }
 }
 
 TEST_F(ModelV3Test, LegacyLoadRejectsAllocationBombs) {
-  // A node count far beyond the perm section's size must be rejected
-  // before the permutation vector is allocated.
-  {
-    std::ostringstream out;
-    SectionWriter writer(out, "BEPI-MODEL v3");
-    ASSERT_TRUE(writer.Add("options", "2 0.05 1e-9 300 100 0.2\n").ok());
-    ASSERT_TRUE(
-        writer.Add("perm", "4000000000 4000000000 0 0\n1 2 3\n").ok());
-    ASSERT_TRUE(writer.Finish().ok());
-    std::istringstream in(out.str());
+  Graph g = test::SmallRmat(60, 240, 0.2, 2089);
+  BepiSolver solver = MakeSolver();
+  ASSERT_TRUE(solver.Preprocess(g).ok());
+  const std::string model = SaveToString(solver);
+  const auto expect_data_loss = [](const std::string& stream,
+                                   const char* section) {
+    std::istringstream in(stream);
     auto loaded = BepiSolver::Load(in);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-    EXPECT_NE(loaded.status().ToString().find("permutation data"),
-              std::string::npos)
+    ASSERT_FALSE(loaded.ok()) << section;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
         << loaded.status().ToString();
-  }
-  // A matrix size line claiming billions of entries in a tiny stream.
-  {
-    std::istringstream in(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "5 5 4000000000\n1 1 1.0\n");
-    auto m = ReadMatrixMarket(in);
-    ASSERT_FALSE(m.ok());
-    EXPECT_EQ(m.status().code(), StatusCode::kIoError);
-  }
-  // Declared dimensions that contradict the expected shape are rejected
-  // before allocation.
-  {
-    std::istringstream in(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "1000000 1000000 1\n1 1 1.0\n");
-    auto m = ReadMatrixMarket(in, 5, 5);
-    ASSERT_FALSE(m.ok());
-    EXPECT_EQ(m.status().code(), StatusCode::kIoError);
-  }
+    EXPECT_NE(loaded.status().message().find(section), std::string::npos)
+        << loaded.status().ToString();
+  };
+  // Counts and sizes far beyond what their payloads hold are rejected
+  // before anything is sized from them.
+  const index_t bomb = 4'000'000'000;
+  std::string perm_bomb = EncodeIndexVector({0, 1, 2});
+  std::memcpy(perm_bomb.data(), &bomb, sizeof(bomb));
+  expect_data_loss(WithPayload(model, "perm", perm_bomb), "perm");
+  expect_data_loss(
+      WithPayload(model, "sizes", EncodeIndexVector({bomb, bomb, 0})),
+      "sizes");
+  std::string nnz_bomb = PayloadOf(model, "h12");
+  std::memcpy(nnz_bomb.data() + 16, &bomb, sizeof(bomb));
+  expect_data_loss(WithPayload(model, "h12", nnz_bomb), "h12");
+  // A well-formed matrix of the wrong shape: its dimensions must match
+  // the ones the partition sizes imply.
+  const index_t n1 = solver.decomposition().n1;
+  expect_data_loss(WithPayload(model, "l1_inv",
+                               EncodeCsr(CsrMatrix::Identity(n1 + 1))),
+                   "l1_inv");
 }
 
 TEST_F(ModelV3Test, SaveFileIsAtomicAndLeavesNoTemp) {

@@ -378,7 +378,7 @@ TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
   std::stringstream stream;
   ASSERT_TRUE(solver.Save(stream).ok());
-  EXPECT_EQ(stream.str().rfind("BEPI-MODEL v3", 0), 0u);
+  EXPECT_EQ(stream.str().rfind("BEPI-MODEL v4", 0), 0u);
   auto loaded = BepiSolver::Load(stream);
   ASSERT_TRUE(loaded.ok());
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);

@@ -3,21 +3,25 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/sections.hpp"
 #include "core/bepi.hpp"
+#include "sparse/io.hpp"
 #include "test_util.hpp"
 
 namespace bepi {
 namespace {
 
-/// A framed v3 model stream holding only the "options" and "perm"
-/// sections with the given perm payload.
-std::string V3StreamWithPerm(const std::string& perm) {
+/// A framed model stream holding only the "options", "sizes" and "perm"
+/// sections with the given partition sizes and permutation.
+std::string StreamWithPartition(const std::vector<index_t>& sizes,
+                                const std::vector<index_t>& perm) {
   std::ostringstream out;
-  SectionWriter writer(out, "BEPI-MODEL v3");
+  SectionWriter writer(out, "BEPI-MODEL v4");
   EXPECT_TRUE(writer.Add("options", "2 0.05 1e-9 100 100 0.2\n").ok());
-  EXPECT_TRUE(writer.Add("perm", perm).ok());
+  EXPECT_TRUE(writer.Add("sizes", EncodeIndexVector(sizes)).ok());
+  EXPECT_TRUE(writer.Add("perm", EncodeIndexVector(perm)).ok());
   EXPECT_TRUE(writer.Finish().ok());
   return out.str();
 }
@@ -125,7 +129,8 @@ TEST(Serialize, LoadRejectsGarbage) {
   }
   {
     // Inconsistent partition sizes.
-    std::stringstream bad_sizes(V3StreamWithPerm("10 3 3 3\n"));
+    std::stringstream bad_sizes(
+        StreamWithPartition({3, 3, 3}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
     auto loaded = BepiSolver::Load(bad_sizes);
     ASSERT_FALSE(loaded.ok());
     EXPECT_NE(loaded.status().message().find("partition sizes"),
@@ -147,17 +152,18 @@ TEST(Serialize, LoadRejectsTamperedPermutation) {
   Graph g = test::SmallRmat(40, 160, 0.2, 1063);
   BepiSolver original(BepiOptions{});
   ASSERT_TRUE(original.Preprocess(g).ok());
-  std::stringstream stream;
-  ASSERT_TRUE(original.Save(stream).ok());
-  std::string text = stream.str();
-  // Corrupt the permutation line (third line) by repeating an id.
-  std::size_t pos = 0;
-  for (int newline = 0; newline < 3; ++newline) pos = text.find('\n', pos) + 1;
-  text[pos] = text[pos + 2];  // clobber a digit
-  std::stringstream tampered(text);
+  const HubSpokeDecomposition& dec = original.decomposition();
+  // A permutation with a repeated id, framed with valid checksums, so the
+  // permutation check itself has to catch it.
+  std::vector<index_t> perm = dec.perm;
+  perm[1] = perm[0];
+  std::stringstream tampered(
+      StreamWithPartition({dec.n1, dec.n2, dec.n3}, perm));
   auto loaded = BepiSolver::Load(tampered);
-  // Either the permutation check or a matrix shape check must fire.
-  EXPECT_FALSE(loaded.ok());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("permutation"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 }  // namespace

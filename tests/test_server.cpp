@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -973,6 +974,31 @@ TEST_F(ServerTest, MetricsVerbAnswersPrometheusInline) {
         "bepi_process_rss_bytes"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
+}
+
+TEST_F(ServerTest, MetricsVerbExportsModelLoadSeconds) {
+  const std::string path = testing::TempDir() + "/server_load_seconds.model";
+  ASSERT_TRUE(solver_->SaveFile(path).ok());
+  auto loaded = BepiSolver::LoadFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::istringstream in(R"({"op":"metrics","id":"m"})"
+                        "\n");
+  std::ostringstream out;
+  {
+    QueryServer server(*loaded, ServeOptions{});
+    ASSERT_TRUE(server.ServeStream(in, out).ok());
+  }
+  auto parsed = ParseJson(out.str().substr(0, out.str().find('\n')), 16);
+  ASSERT_TRUE(parsed.ok()) << out.str();
+  const std::string& text = parsed->object_value.at("metrics").string_value;
+  const std::string series = "\nbepi_model_load_seconds ";
+  const std::size_t at = text.find(series);
+  ASSERT_NE(at, std::string::npos) << text;
+  const double seconds = std::strtod(text.c_str() + at + series.size(),
+                                     nullptr);
+  EXPECT_GT(seconds, 0.0);
+  EXPECT_LT(seconds, 60.0);
 }
 
 TEST_F(ServerTest, DumpVerbReturnsFlightRecorderTrace) {

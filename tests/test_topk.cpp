@@ -12,6 +12,7 @@
 
 #include "common/faultinject.hpp"
 #include "common/parallel.hpp"
+#include "core/batch.hpp"
 #include "core/bepi.hpp"
 #include "core/topk.hpp"
 #include "engine/mc/mc.hpp"
@@ -158,6 +159,24 @@ TEST_F(TopKTest, ExcludeSeedMatchesDenseExclusion) {
     EXPECT_EQ(got->entries[i].first, expect[i].first);
     EXPECT_EQ(got->entries[i].second, expect[i].second);
     EXPECT_NE(got->entries[i].first, 9);
+  }
+}
+
+TEST_F(TopKTest, BatchTopKLeavesEachSeedOutOfItsRanking) {
+  const Graph g = test::SmallRmat(200, 900, 0.15, 29);
+  BepiSolver solver{BepiOptions{}};
+  ASSERT_TRUE(solver.Preprocess(g).ok());
+  BatchQueryOptions options;
+  options.topk.k = 12;
+  const std::vector<index_t> seeds = {9, 4, 9, 150};
+  auto batch = BatchQueryEngine(solver, options).Run(seeds);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->topk.size(), seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    const auto dense = solver.Query(seeds[i]);
+    ASSERT_TRUE(dense.ok());
+    EXPECT_EQ(batch->topk[i].entries, TopK(*dense, 12, seeds[i]))
+        << "seed " << seeds[i];
   }
 }
 

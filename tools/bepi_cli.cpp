@@ -19,10 +19,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -96,7 +96,7 @@ const CommandHelp kCommands[] = {
      "           [--k=0.2] [--c=0.05] [--tol=1e-9] [--checkpoint-dir=DIR]",
      "bepi_cli preprocess — run BePI preprocessing, save a model file\n"
      "  --graph=FILE          input edge list (required)\n"
-     "  --model=FILE          output model path, format v3 (required)\n"
+     "  --model=FILE          output model path, format v4 (required)\n"
      "  --mode=MODE           bepi (ILU(0)+GMRES, default), bepi-s, bepi-b\n"
      "  --k=X                 hub ratio; 0 = the mode's paper default\n"
      "  --c=X                 restart probability (default 0.05)\n"
@@ -119,7 +119,8 @@ const CommandHelp kCommands[] = {
      "                     over the thread pool (--threads) with reused\n"
      "                     per-slot solver workspaces\n"
      "  --topk=K           ranking length (default 10)\n"
-     "  --top-k=K          top-k QUERY mode: answer with the k best nodes.\n"
+     "  --top-k=K          top-k QUERY mode: answer with the k best nodes\n"
+     "                     other than the seed.\n"
      "                     Exact by default (scores byte-identical to\n"
      "                     sorting a --dump-scores solve); add --eps=E for\n"
      "                     the bounded-error mode (the Schur solve stops\n"
@@ -290,9 +291,10 @@ const CommandHelp kCommands[] = {
      "verify-model --model=FILE",
      "bepi_cli verify-model — per-section integrity fsck of a model file\n"
      "  --model=FILE     model path (required)\n"
-     "checks every v3 section against its stored CRC32C; pre-v3 models\n"
-     "get a full load check instead. v3 models are then loaded as well,\n"
-     "since intact bytes can still fail to parse or factor.\n"
+     "checks every section of a BEPI-MODEL v4 file against its stored\n"
+     "CRC32C, then loads the model, since intact bytes can still fail to\n"
+     "decode or factor. Any other header (including v1-v3 models) fails:\n"
+     "re-run preprocess to regenerate the model.\n"
      "example:\n"
      "  bepi_cli verify-model --model=/tmp/m.txt\n"},
     {"help",
@@ -617,30 +619,21 @@ int CmdPreprocess(const Flags& flags) {
 int CmdVerifyModel(const Flags& flags) {
   const std::string model_path = flags.GetString("model", "");
   if (model_path.empty()) return Usage();
-  auto content = ReadFileToString(model_path);
-  if (!content.ok()) return Fail(content.status());
-  std::istringstream peek(*content);
-  std::string header;
-  std::getline(peek, header);
-  if (header.rfind("BEPI-MODEL v3", 0) != 0) {
-    // Pre-v3 formats carry no checksums; the strongest available check is
-    // a full parse.
-    std::printf("%s: %s (no per-section checksums; running full load "
-                "check)\n", model_path.c_str(),
-                header.rfind("BEPI-MODEL", 0) == 0 ? header.c_str()
-                                                   : "unrecognized header");
-    std::istringstream in(*content);
-    auto solver = BepiSolver::Load(in);
-    if (!solver.ok()) return Fail(solver.status());
-    std::printf("load check passed (n=%lld)\n",
-                static_cast<long long>(solver->decomposition().n));
-    return 0;
+  std::ifstream in(model_path, std::ios::binary);
+  if (!in) {
+    return Fail(Status::IoError("cannot open for reading: " + model_path));
   }
-  std::istringstream in(*content);
-  const IntegrityReport report = CheckIntegrity(in, "BEPI-MODEL");
+  const IntegrityReport report = CheckIntegrity(in, "BEPI-MODEL v4");
+  if (report.magic.empty()) {
+    return Fail(Status::IoError(report.overall.message() +
+                                "; re-run preprocess to regenerate it"));
+  }
   std::printf("%s: %s, %zu sections\n", model_path.c_str(),
               report.magic.c_str(), report.sections.size());
   Table table({"section", "offset", "bytes", "crc32c", "status"});
+  table.AddRow({"(format)", "0",
+                Table::Int(static_cast<long long>(report.magic.size()) + 1),
+                "", "v4"});
   char crc_hex[32];
   for (const SectionCheck& check : report.sections) {
     if (check.ok) {
@@ -660,9 +653,8 @@ int CmdVerifyModel(const Flags& flags) {
   if (!report.overall.ok()) return Fail(report.overall);
   std::printf("all sections verified\n");
   // Checksums prove the bytes are intact; only a real load proves they
-  // still parse into a model the query path can run.
-  std::istringstream reload(*content);
-  auto solver = BepiSolver::Load(reload);
+  // still decode into a model the query path can run.
+  auto solver = BepiSolver::LoadFile(model_path);
   if (!solver.ok()) return Fail(solver.status());
   std::printf("load check passed (n=%lld)\n",
               static_cast<long long>(solver->decomposition().n));
@@ -722,7 +714,8 @@ Result<bool> WarmStartFromFlags(const Flags& flags) {
 }
 
 /// Per-query top-k options from the --top-k/--eps flags (exact mode
-/// unless --eps > 0).
+/// unless --eps > 0). Callers exclude the seed, as `--topk` and the serve
+/// top_k reply do.
 TopKOptions TopKOptionsFromFlags(const Flags& flags) {
   TopKOptions opts;
   opts.k = flags.GetInt("top-k", 10);
@@ -757,6 +750,7 @@ int DumpTopKFile(const std::vector<std::pair<index_t, real_t>>& entries,
 int QueryTopKSingle(const BepiSolver& solver, const Flags& flags,
                     index_t seed) {
   TopKOptions opts = TopKOptionsFromFlags(flags);
+  opts.exclude = seed;
   auto warm = WarmStartFromFlags(flags);
   if (!warm.ok()) return Fail(warm.status());
   QueryStats stats;

@@ -129,10 +129,18 @@ smoke_kill_resume() {
   cmp "$work/scratch.txt" "$work/resumed.txt"
   "$cli" verify-model --model="$work/resumed.txt" >/dev/null
 
-  # And the fsck must catch a corrupted model (model files are text, so a
-  # NUL byte can never be a legitimate value).
-  printf '\x00' | dd of="$work/resumed.txt" bs=1 seek=200 conv=notrunc \
-    2>/dev/null
+  # And the fsck must catch a corrupted model. Payloads are binary, so no
+  # written byte value is illegal in itself: flip the bits of one byte in
+  # the middle of the schur payload, which always changes the byte.
+  python3 - "$work/resumed.txt" <<'EOF'
+import re, sys
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+header = re.search(rb"%section schur (\d+) [0-9a-f]{8}\n", data)
+assert header, "no schur section in the model"
+data[header.end() + int(header.group(1)) // 2] ^= 0xFF
+open(path, "wb").write(data)
+EOF
   if "$cli" verify-model --model="$work/resumed.txt" >/dev/null 2>&1; then
     echo "verify-model missed an injected corruption" >&2
     exit 1
