@@ -9,6 +9,7 @@
 #include "core/approx.hpp"
 #include "core/bepi.hpp"
 #include "core/nblin.hpp"
+#include "engine/mc/mc.hpp"
 
 namespace {
 
@@ -85,16 +86,15 @@ int main(int argc, char** argv) {
                              static_cast<double>(config.num_queries)),
                   "0", "0", "10/10"});
 
-    auto evaluate = [&](RwrSolver* solver, const std::string& label) {
-      BEPI_CHECK(solver->Preprocess(g).ok());
+    // `query(seed, &seconds)` answers one seed and reports its time.
+    auto evaluate_with = [&](const auto& query, const std::string& label) {
       double seconds = 0.0;
       Quality total;
       for (std::size_t i = 0; i < seeds.size(); ++i) {
-        QueryStats stats;
-        auto r = solver->Query(seeds[i], &stats);
-        BEPI_CHECK(r.ok());
-        seconds += stats.seconds;
-        Quality q = Compare(references[i], *r);
+        double query_seconds = 0.0;
+        const Vector r = query(seeds[i], &query_seconds);
+        seconds += query_seconds;
+        Quality q = Compare(references[i], r);
         total.max_error = std::max(total.max_error, q.max_error);
         total.l1_error += q.l1_error;
         total.top10_overlap += q.top10_overlap;
@@ -105,6 +105,18 @@ int main(int argc, char** argv) {
                     Table::Num(total.l1_error / count),
                     Table::Num(total.top10_overlap / count, 1) + "/10"});
     };
+    auto evaluate = [&](RwrSolver* solver, const std::string& label) {
+      BEPI_CHECK(solver->Preprocess(g).ok());
+      evaluate_with(
+          [&](index_t seed, double* seconds) {
+            QueryStats stats;
+            auto r = solver->Query(seed, &stats);
+            BEPI_CHECK(r.ok());
+            *seconds = stats.seconds;
+            return std::move(r).value();
+          },
+          label);
+    };
 
     for (real_t threshold : {1e-4, 1e-6}) {
       ForwardPushOptions options;
@@ -112,11 +124,18 @@ int main(int argc, char** argv) {
       ForwardPushSolver push(options);
       evaluate(&push, "ForwardPush eps=" + Table::Num(threshold, 0));
     }
+    const McWalkEngine mc(g);
     for (index_t walks : {10000, 100000}) {
-      MonteCarloOptions options;
-      options.num_walks = walks;
-      MonteCarloSolver mc(options);
-      evaluate(&mc, "MonteCarlo " + Table::IntGrouped(walks) + " walks");
+      McOptions options;
+      options.walks = static_cast<std::uint64_t>(walks);
+      evaluate_with(
+          [&](index_t seed, double* seconds) {
+            auto est = mc.EstimateSeed(seed, options);
+            BEPI_CHECK(est.ok());
+            *seconds = est->seconds;
+            return std::move(est).value().scores;
+          },
+          "MonteCarlo " + Table::IntGrouped(walks) + " walks");
     }
     for (index_t rank : {32, 128}) {
       NbLinOptions options;

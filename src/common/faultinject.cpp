@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "common/log.hpp"
+
 namespace bepi {
 
 FaultInjector& FaultInjector::Global() {
@@ -10,7 +12,13 @@ FaultInjector& FaultInjector::Global() {
     // Allow arming from the environment so any binary (CLI, benches) can
     // be driven without code changes.
     if (const char* spec = std::getenv("BEPI_FAULT_INJECT")) {
-      inj->Configure(spec);  // a malformed env spec is ignored, not fatal
+      // A rejected env spec is not fatal, but it must not look like a
+      // drill that ran: say what was refused.
+      const Status status = inj->Configure(spec);
+      if (!status.ok()) {
+        BEPI_LOG(Warning) << "BEPI_FAULT_INJECT ignored: "
+                          << status.ToString();
+      }
     }
     return inj;
   }();
@@ -124,19 +132,34 @@ bool ParseDouble(const std::string& text, double* out) {
   }
 }
 
+bool IsKnownSite(const std::string& site) {
+  for (const char* known : fault_sites::kAll) {
+    if (site == known) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 Status FaultInjector::Configure(const std::string& spec) {
+  // One parsed entry; probability >= 0 selects probabilistic arming.
+  struct Pending {
+    std::string site;
+    index_t skip = 0;
+    index_t count = -1;
+    double probability = -1.0;
+    std::uint64_t seed = 0x5eed;
+  };
+  std::vector<Pending> pending;
   for (const std::string& entry : Split(spec, ',')) {
     if (entry.empty()) continue;
+    Pending p;
     if (entry.find('@') != std::string::npos) {
       // SITE@probability[@seed]
       auto parts = Split(entry, '@');
-      double probability = 0.0;
-      std::uint64_t seed = 0x5eed;
       if (parts.size() < 2 || parts.size() > 3 || parts[0].empty() ||
-          !ParseDouble(parts[1], &probability) || probability < 0.0 ||
-          probability > 1.0) {
+          !ParseDouble(parts[1], &p.probability) || p.probability < 0.0 ||
+          p.probability > 1.0) {
         return Status::InvalidArgument("bad fault spec entry: " + entry);
       }
       if (parts.size() == 3) {
@@ -144,20 +167,32 @@ Status FaultInjector::Configure(const std::string& spec) {
         if (!ParseIndex(parts[2], &s) || s < 0) {
           return Status::InvalidArgument("bad fault spec seed: " + entry);
         }
-        seed = static_cast<std::uint64_t>(s);
+        p.seed = static_cast<std::uint64_t>(s);
       }
-      ArmProbabilistic(parts[0], probability, seed);
-      continue;
+      p.site = parts[0];
+    } else {
+      // SITE[:skip[:count]]
+      auto parts = Split(entry, ':');
+      if (parts.empty() || parts[0].empty() || parts.size() > 3 ||
+          (parts.size() >= 2 &&
+           (!ParseIndex(parts[1], &p.skip) || p.skip < 0)) ||
+          (parts.size() == 3 && !ParseIndex(parts[2], &p.count))) {
+        return Status::InvalidArgument("bad fault spec entry: " + entry);
+      }
+      p.site = parts[0];
     }
-    // SITE[:skip[:count]]
-    auto parts = Split(entry, ':');
-    index_t skip = 0, count = -1;
-    if (parts.empty() || parts[0].empty() || parts.size() > 3 ||
-        (parts.size() >= 2 && (!ParseIndex(parts[1], &skip) || skip < 0)) ||
-        (parts.size() == 3 && !ParseIndex(parts[2], &count))) {
-      return Status::InvalidArgument("bad fault spec entry: " + entry);
+    if (!IsKnownSite(p.site)) {
+      return Status::InvalidArgument("unknown fault site '" + p.site +
+                                     "' in fault spec entry: " + entry);
     }
-    Arm(parts[0], skip, count);
+    pending.push_back(std::move(p));
+  }
+  for (const Pending& p : pending) {
+    if (p.probability >= 0.0) {
+      ArmProbabilistic(p.site, p.probability, p.seed);
+    } else {
+      Arm(p.site, p.skip, p.count);
+    }
   }
   return Status::Ok();
 }

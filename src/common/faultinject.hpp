@@ -28,10 +28,8 @@ namespace fault_sites {
 inline constexpr char kIluFactor[] = "ilu0.factor";        // forced zero pivot
 inline constexpr char kGmresStagnate[] = "gmres.stagnate"; // forced stagnation
 inline constexpr char kGmresNan[] = "gmres.nan";           // poisons a Krylov vector
-inline constexpr char kBicgstabBreakdown[] = "bicgstab.breakdown";
-inline constexpr char kBicgstabNan[] = "bicgstab.nan";
 inline constexpr char kEdgeListRead[] = "graph.io.read";   // mid-stream IO error
-// Forces the global power-iteration fallback (degradation-chain hop 4) to
+// Forces the global power-iteration fallback (degradation-chain stage 2) to
 // exhaust its budget without converging, driving queries down to the
 // Monte-Carlo terminal stage.
 inline constexpr char kPowerStall[] = "power.stall";
@@ -58,6 +56,17 @@ inline constexpr char kServerSlowClient[] = "server.slow_client";
 // until its token is cancelled, with a hard 10 s cap) so a test can trip
 // the watchdog — and its flight-recorder auto-dump — deterministically.
 inline constexpr char kServerExecStall[] = "server.exec_stall";
+
+// Every site above, once: FaultInjector::Configure accepts only these
+// names, so a spec naming a removed or misspelled site is an error
+// instead of a drill that silently arms nothing.
+inline constexpr const char* kAll[] = {
+    kIluFactor,          kGmresStagnate,         kGmresNan,
+    kEdgeListRead,       kPowerStall,            kMcWalkStall,
+    kFileShortWrite,     kFileCrashBeforeRename, kFileBitFlip,
+    kCheckpointCrash,    kServerParseGarbage,    kServerShortRead,
+    kServerSlowClient,   kServerExecStall,
+};
 }  // namespace fault_sites
 
 class FaultInjector {
@@ -89,10 +98,14 @@ class FaultInjector {
   std::vector<std::string> ArmedSites() const;
 
   /// Parses a comma-separated spec, e.g.
-  ///   "ilu0.factor,gmres.stagnate:2,bicgstab.nan:1:3,graph.io.read@0.5"
+  ///   "ilu0.factor,gmres.stagnate:2,gmres.nan:1:3,graph.io.read@0.5"
   /// Each entry is SITE[:skip[:count]] for deterministic arming or
-  /// SITE@probability[@seed] for probabilistic arming. Used by bepi_cli
-  /// --fault-inject and the BEPI_FAULT_INJECT environment variable.
+  /// SITE@probability[@seed] for probabilistic arming, where SITE must be
+  /// one of fault_sites::kAll. The whole spec is checked before anything
+  /// is armed: a malformed entry or an unknown site is InvalidArgument
+  /// (naming the entry) and leaves the injector as it was. Used by
+  /// bepi_cli --fault-inject and the BEPI_FAULT_INJECT environment
+  /// variable (where a rejected spec is logged as a warning).
   Status Configure(const std::string& spec);
 
  private:

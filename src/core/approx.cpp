@@ -4,7 +4,6 @@
 #include <queue>
 #include <utility>
 
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 
 namespace bepi {
@@ -155,125 +154,6 @@ Result<Vector> RefreshRwrScores(const Graph& new_graph, index_t seed,
     stats->total_iterations = pushes;
   }
   return p;
-}
-
-Status MonteCarloSolver::Preprocess(const Graph& g) {
-  Timer timer;
-  if (g.num_nodes() == 0) return Status::InvalidArgument("empty graph");
-  if (options_.num_walks <= 0) {
-    return Status::InvalidArgument("num_walks must be positive");
-  }
-  adjacency_ = g.adjacency();
-  preprocess_seconds_ = timer.Seconds();
-  return Status::Ok();
-}
-
-Result<Vector> MonteCarloSolver::Query(index_t seed, QueryStats* stats) const {
-  const index_t n = adjacency_.rows();
-  if (n == 0) return Status::FailedPrecondition("Preprocess not called");
-  if (seed < 0 || seed >= n) return Status::OutOfRange("seed out of range");
-  Timer timer;
-  const real_t c = options_.restart_prob;
-  Rng rng(options_.seed ^ static_cast<std::uint64_t>(seed) * 0x9e3779b9ULL);
-
-  // Each walk ends at its current node with probability c per step; the
-  // endpoint distribution is exactly r. Walks hitting a deadend die
-  // without an endpoint, matching the mass leak of the H formulation.
-  std::vector<index_t> endpoint_counts(static_cast<std::size_t>(n), 0);
-  index_t total_steps = 0;
-  for (index_t walk = 0; walk < options_.num_walks; ++walk) {
-    index_t u = seed;
-    for (;;) {
-      ++total_steps;
-      if (rng.NextDouble() < c) {
-        endpoint_counts[static_cast<std::size_t>(u)]++;
-        break;
-      }
-      const index_t begin = adjacency_.row_ptr()[static_cast<std::size_t>(u)];
-      const index_t end = adjacency_.row_ptr()[static_cast<std::size_t>(u) + 1];
-      if (begin == end) break;  // deadend: the walk dies
-      const index_t pick = begin + rng.UniformIndex(0, end - begin - 1);
-      u = adjacency_.col_idx()[static_cast<std::size_t>(pick)];
-    }
-  }
-  Vector r(static_cast<std::size_t>(n), 0.0);
-  const real_t inv = 1.0 / static_cast<real_t>(options_.num_walks);
-  for (index_t u = 0; u < n; ++u) {
-    r[static_cast<std::size_t>(u)] =
-        static_cast<real_t>(endpoint_counts[static_cast<std::size_t>(u)]) * inv;
-  }
-  if (stats != nullptr) {
-    *stats = QueryStats();
-    stats->seconds = timer.Seconds();
-    stats->iterations = total_steps;
-    stats->total_iterations = total_steps;
-  }
-  return r;
-}
-
-Result<Vector> MonteCarloSolver::QueryVector(const Vector& q,
-                                             QueryStats* stats) const {
-  const index_t n = adjacency_.rows();
-  if (n == 0) return Status::FailedPrecondition("Preprocess not called");
-  if (static_cast<index_t>(q.size()) != n) {
-    return Status::InvalidArgument("personalization vector length mismatch");
-  }
-  // Sample start nodes from q (must be a distribution), then reuse the
-  // single-seed machinery via linearity: group walks by sampled start.
-  real_t total = 0.0;
-  for (real_t v : q) {
-    if (v < 0.0) {
-      return Status::InvalidArgument("personalization entries must be >= 0");
-    }
-    total += v;
-  }
-  if (total <= 0.0) {
-    return Status::InvalidArgument("personalization vector must be non-zero");
-  }
-  Timer timer;
-  Rng rng(options_.seed * 0x2545f4914f6cdd1dULL + 17);
-  // Multinomial assignment of walks to start nodes.
-  std::vector<index_t> walks_per_node(static_cast<std::size_t>(n), 0);
-  for (index_t w = 0; w < options_.num_walks; ++w) {
-    real_t target = rng.NextDouble() * total;
-    index_t chosen = n - 1;
-    for (index_t u = 0; u < n; ++u) {
-      target -= q[static_cast<std::size_t>(u)];
-      if (target <= 0.0) {
-        chosen = u;
-        break;
-      }
-    }
-    walks_per_node[static_cast<std::size_t>(chosen)]++;
-  }
-  Vector r(static_cast<std::size_t>(n), 0.0);
-  index_t total_steps = 0;
-  const real_t c = options_.restart_prob;
-  for (index_t s = 0; s < n; ++s) {
-    for (index_t w = 0; w < walks_per_node[static_cast<std::size_t>(s)]; ++w) {
-      index_t u = s;
-      for (;;) {
-        ++total_steps;
-        if (rng.NextDouble() < c) {
-          r[static_cast<std::size_t>(u)] += 1.0;
-          break;
-        }
-        const index_t begin = adjacency_.row_ptr()[static_cast<std::size_t>(u)];
-        const index_t end = adjacency_.row_ptr()[static_cast<std::size_t>(u) + 1];
-        if (begin == end) break;
-        const index_t pick = begin + rng.UniformIndex(0, end - begin - 1);
-        u = adjacency_.col_idx()[static_cast<std::size_t>(pick)];
-      }
-    }
-  }
-  Scale(1.0 / static_cast<real_t>(options_.num_walks), &r);
-  if (stats != nullptr) {
-    *stats = QueryStats();
-    stats->seconds = timer.Seconds();
-    stats->iterations = total_steps;
-    stats->total_iterations = total_steps;
-  }
-  return r;
 }
 
 }  // namespace bepi

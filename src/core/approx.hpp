@@ -2,12 +2,11 @@
 //  - ForwardPushSolver: local residual-push approximation in the spirit of
 //    Andersen, Chung & Lang [1] / Gleich & Polito [17]. Work is local to
 //    the seed's neighborhood; accuracy is controlled by a push threshold.
-//  - MonteCarloSolver: terminal-visit Monte Carlo estimation in the spirit
-//    of Fogaras et al. / Bahmani et al. [4]: each walk restarts with
-//    probability c per step; the endpoint distribution is exactly r.
-// The paper excludes approximate methods from its main comparison because
-// they do not return exact scores; bench_approx quantifies that trade-off
-// against BePI.
+//  - RefreshRwrScores: forward push from a stale vector's defect.
+// Monte Carlo estimation (Fogaras et al. / Bahmani et al. [4]) lives in
+// engine/mc. The paper excludes approximate methods from its main
+// comparison because they do not return exact scores;
+// bench_approx_tradeoff quantifies that trade-off against BePI.
 #ifndef BEPI_CORE_APPROX_HPP_
 #define BEPI_CORE_APPROX_HPP_
 
@@ -56,30 +55,6 @@ Result<Vector> RefreshRwrScores(const Graph& new_graph, index_t seed,
                                 const Vector& stale_scores,
                                 const ForwardPushOptions& options,
                                 QueryStats* stats = nullptr);
-
-struct MonteCarloOptions : RwrOptions {
-  /// Number of simulated walks per query.
-  index_t num_walks = 100000;
-  std::uint64_t seed = 12345;
-};
-
-class MonteCarloSolver final : public RwrSolver {
- public:
-  explicit MonteCarloSolver(MonteCarloOptions options) : options_(options) {}
-
-  std::string name() const override { return "MonteCarlo"; }
-  Status Preprocess(const Graph& g) override;
-  Result<Vector> Query(index_t seed, QueryStats* stats = nullptr) const override;
-  Result<Vector> QueryVector(const Vector& q,
-                             QueryStats* stats = nullptr) const override;
-  std::uint64_t PreprocessedBytes() const override {
-    return adjacency_.ByteSize();
-  }
-
- private:
-  MonteCarloOptions options_;
-  CsrMatrix adjacency_;  // unweighted out-adjacency for uniform steps
-};
 
 }  // namespace bepi
 

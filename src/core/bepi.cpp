@@ -8,7 +8,6 @@
 
 #include "common/check.hpp"
 #include "common/fileio.hpp"
-#include "common/flightrec.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/sections.hpp"
@@ -18,7 +17,6 @@
 #include "core/resilient.hpp"
 #include "core/topk.hpp"
 #include "engine/mc/mc.hpp"
-#include "solver/bicgstab.hpp"
 #include "solver/block_gmres.hpp"
 #include "solver/gmres.hpp"
 #include "sparse/io.hpp"
@@ -116,8 +114,8 @@ Status BepiSolver::Preprocess(const Graph& g, CheckpointManager* checkpoints) {
     } else if (options_.enable_fallbacks &&
                ilu.status().code() == StatusCode::kFailedPrecondition) {
       // Breakdown (zero/tiny pivot): degrade to unpreconditioned queries
-      // rather than failing preprocessing; the query-phase chain starts at
-      // the Jacobi hop.
+      // rather than failing preprocessing; the query's primary hop then
+      // runs Jacobi+GMRES.
       BEPI_LOG(Warning) << "ILU(0) breakdown, continuing unpreconditioned: "
                         << ilu.status().ToString();
       info_.ilu_skipped = true;
@@ -351,7 +349,6 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
   ropts.tol = control.eps > 0.0 ? control.eps : options_.tolerance;
   ropts.max_iters = options_.max_iterations;
   ropts.gmres_restart = options_.gmres_restart;
-  ropts.enable_fallbacks = options_.enable_fallbacks;
   ropts.gmres_workspace = workspace;
   ropts.cancel = control.cancel;
   ropts.request_id = control.request_id;
@@ -381,48 +378,12 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
   Vector r2(static_cast<std::size_t>(n2), 0.0);
   bool back_substitute = true;
   if (n2 > 0) {
-    std::optional<TraceSpan> schur_span;
-    schur_span.emplace("query.schur_solve");
-    Result<Vector> schur_solve = [&]() -> Result<Vector> {
-      if (options_.inner_solver == BepiInnerSolver::kBicgstab) {
-        // Ablation path: BiCGSTAB as the primary inner solver. A failure
-        // still drops into the global power fallback below.
-        Timer hop_timer;
-        SolveStats ss;
-        BicgstabOptions bi;
-        bi.tol = ropts.tol;
-        bi.max_iters = options_.max_iterations;
-        bi.cancel = control.cancel;
-        KernelCsrOperator op(kern.schur);
-        const Preconditioner* m = ilu_.has_value() ? &*ilu_ : nullptr;
-        BEPI_ASSIGN_OR_RETURN(Vector x, Bicgstab(op, q2_tilde, bi, &ss, m));
-        SolveAttempt attempt;
-        attempt.stage = m != nullptr ? "ilu0+bicgstab" : "bicgstab";
-        attempt.outcome = ss.outcome;
-        attempt.iterations = ss.iterations;
-        attempt.residual = ss.relative_residual;
-        attempt.seconds = hop_timer.Seconds();
-        FlightRecord(FlightEventType::kStageHop, control.request_id,
-                     attempt.stage.c_str(),
-                     static_cast<std::int64_t>(attempt.seconds * 1e9));
-        report.attempts.push_back(attempt);
-        report.final_outcome = ss.outcome;
-        // Same contract as the resilient chain: a cancelled solve hands
-        // back its best iterate and the caller decides below.
-        if (ss.outcome == SolveOutcome::kCancelled) return x;
-        if (!ss.converged) {
-          return Status::NotConverged(
-              "BiCGSTAB Schur solve ended with " +
-              std::string(SolveOutcomeName(ss.outcome)));
-        }
-        return x;
-      }
+    Result<Vector> schur_solve = [&] {
+      TraceSpan schur_span("query.schur_solve");
       KernelCsrOperator schur_op(kern.schur);
-      ResilientSchurSolver schur_solver(dec_.schur, preconditioner(), ropts,
-                                        &schur_op);
-      return schur_solver.Solve(q2_tilde, &report);
+      const PrimaryPreconditioner precond(dec_.schur, preconditioner());
+      return PrimarySchurSolve(schur_op, precond, q2_tilde, ropts, &report);
     }();
-    schur_span.reset();
     if (schur_solve.ok()) {
       r2 = std::move(schur_solve).value();
       if (report.final_outcome == SolveOutcome::kCancelled &&
@@ -433,7 +394,7 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
       }
     } else if (schur_solve.status().code() == StatusCode::kNotConverged &&
                options_.enable_fallbacks) {
-      // Hop 4: every Krylov stage failed; solve the original reordered
+      // Stage 2: the primary hop failed; solve the original reordered
       // system H r = c q by power iteration, which always converges for
       // RWR. The back-substitution lines are skipped — the fallback
       // produces the full vector directly.
@@ -458,7 +419,7 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
         }
       } else if (mc_ != nullptr &&
                  power.status().code() == StatusCode::kNotConverged) {
-        // Hop 5: the Monte-Carlo terminal stage. Every linear-algebra
+        // Stage 3: the Monte-Carlo terminal stage. Every linear-algebra
         // stage — all of which share the preprocessed factors — has
         // failed, so the query is answered from the raw graph instead:
         // simulated walks, with the estimate's confidence half-width
@@ -505,7 +466,7 @@ Result<Vector> BepiSolver::SolveFromSlices(const Vector& cq1,
   real_t error_bound = 0.0;
   if (back_substitute) {
     // Eps-truncated and partial iterates: the bound follows from the true
-    // Schur residual of the iterate the Krylov chain handed over.
+    // Schur residual of the iterate the primary hop handed over.
     if (control.eps > 0.0 ||
         report.final_outcome == SolveOutcome::kCancelled) {
       error_bound = EpsErrorBound(q2_tilde, r2);
@@ -635,11 +596,9 @@ Status BepiSolver::QueryMulti(const std::vector<MultiQueryItem>& items,
     res.coalesced = false;
   };
 
-  // The block path only covers the preconditioned-GMRES Schur solve; a
-  // degenerate partition (no Schur system) or the BiCGSTAB ablation
-  // solver, like a width-1 batch, gains nothing from coalescing.
-  if (items.size() < 2 || dec_.n2 == 0 ||
-      options_.inner_solver == BepiInnerSolver::kBicgstab) {
+  // A degenerate partition (no Schur system), like a width-1 batch, gains
+  // nothing from coalescing.
+  if (items.size() < 2 || dec_.n2 == 0) {
     for (std::size_t j = 0; j < items.size(); ++j) solo(j);
     return Status::Ok();
   }
@@ -716,14 +675,7 @@ Status BepiSolver::QueryMulti(const std::vector<MultiQueryItem>& items,
     }
   }
   KernelCsrOperator schur_op(kern.schur);
-  std::optional<JacobiPreconditioner> jacobi;
-  const Preconditioner* precond = preconditioner();
-  const char* stage = "ilu0+gmres";
-  if (precond == nullptr) {
-    jacobi.emplace(dec_.schur);
-    precond = &*jacobi;
-    stage = "jacobi+gmres";
-  }
+  const PrimaryPreconditioner precond(dec_.schur, preconditioner());
   BlockGmresOptions bopts;
   bopts.tol = options_.tolerance;
   bopts.max_iters = options_.max_iterations;
@@ -736,7 +688,7 @@ Status BepiSolver::QueryMulti(const std::vector<MultiQueryItem>& items,
   std::vector<BlockGmresColumn> bcols;
   Timer hop_timer;
   const Status block_status =
-      BlockGmres(schur_op, brhs, bopts, precond, &bcols);
+      BlockGmres(schur_op, brhs, bopts, &precond.get(), &bcols);
   const double hop_seconds = hop_timer.Seconds();
   if (!block_status.ok()) {
     // Shape mismatches cannot happen for a bound model; degrade to the
@@ -823,25 +775,15 @@ Status BepiSolver::QueryMulti(const std::vector<MultiQueryItem>& items,
     }
 
     SolveAttempt attempt;
-    attempt.stage = stage;
+    attempt.stage = precond.stage();
     attempt.outcome = SolveOutcome::kConverged;
     attempt.iterations = bcols[jj].stats.iterations;
     attempt.residual = bcols[jj].stats.relative_residual;
     // Wall time the request spent waiting on the shared blocked solve —
     // the latency it observed, not a per-column slice of the work.
     attempt.seconds = hop_seconds;
-    const char* request_id = items[blockable[jj]].control.request_id;
-    if (MetricsEnabled()) {
-      MetricsRegistry::Global()
-          .GetCounter("solver.attempts." + attempt.stage)
-          ->Increment();
-    }
-    FlightRecord(FlightEventType::kStageHop, request_id, attempt.stage.c_str(),
-                 static_cast<std::int64_t>(attempt.seconds * 1e9));
-
     QueryReport report;
-    report.attempts.push_back(attempt);
-    report.final_outcome = SolveOutcome::kConverged;
+    RecordAttempt(attempt, items[blockable[jj]].control.request_id, &report);
     if (MetricsEnabled()) {
       BEPI_METRIC_COUNTER(queries, "query.count");
       BEPI_METRIC_COUNTER(hops, "query.fallback_hops");
@@ -918,13 +860,7 @@ Result<Vector> BepiSolver::McTerminalHop(const Vector& cq, QueryReport* report,
     attempt.residual = 1.0;  // an estimate that never ran bounds nothing
   }
   attempt.seconds = hop_timer.Seconds();
-  if (MetricsEnabled()) {
-    MetricsRegistry::Global().GetCounter("solver.attempts.mc")->Increment();
-  }
-  FlightRecord(FlightEventType::kStageHop, control.request_id, "mc",
-               static_cast<std::int64_t>(attempt.seconds * 1e9));
-  report->attempts.push_back(attempt);
-  report->final_outcome = attempt.outcome;
+  RecordAttempt(attempt, control.request_id, report);
   if (hop_span.active()) {
     hop_span.Arg("outcome", SolveOutcomeName(attempt.outcome));
     hop_span.Arg("walks", attempt.iterations);

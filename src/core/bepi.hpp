@@ -40,11 +40,6 @@ enum class BepiMode { kBasic, kSparsified, kPreconditioned };
 
 const char* BepiModeName(BepiMode mode);
 
-/// Krylov method used for the Schur-complement solve in the query phase.
-/// The paper uses GMRES; BiCGSTAB is a short-recurrence alternative with
-/// constant per-iteration cost (see bench_ablation_solvers).
-enum class BepiInnerSolver { kGmres, kBicgstab };
-
 struct BepiOptions : RwrOptions {
   BepiMode mode = BepiMode::kPreconditioned;
   /// SlashBurn hub selection ratio k; 0 selects the paper's default for
@@ -52,14 +47,14 @@ struct BepiOptions : RwrOptions {
   real_t hub_ratio = 0.0;
   /// GMRES restart length for the Schur-complement solve.
   index_t gmres_restart = 100;
-  BepiInnerSolver inner_solver = BepiInnerSolver::kGmres;
   /// Hub selection strategy (kRandom is the ablation control).
   SlashBurnOptions::HubSelection hub_selection =
       SlashBurnOptions::HubSelection::kDegree;
   /// Run the degradation chain (core/resilient.hpp) when the primary
-  /// Schur solve fails, ending in global power iteration. When false a
-  /// failed solve surfaces as Status kNotConverged (the pre-resilience
-  /// behavior, kept for ablations).
+  /// Schur solve fails: global power iteration, then the Monte-Carlo
+  /// terminal stage when one is attached. When false a failed solve
+  /// surfaces as Status kNotConverged (the pre-resilience behavior, kept
+  /// for ablations).
   bool enable_fallbacks = true;
   /// Cooperative cancellation for *preprocessing* (the CLI links the
   /// SIGINT/SIGTERM shutdown flag here). Checked at stage boundaries; with
@@ -285,7 +280,7 @@ class BepiSolver final : public RwrSolver {
   /// Preprocess and of every Load.
   void BindQueryKernels();
 
-  /// Hop 5: answers the query via the attached Monte-Carlo engine. `cq`
+  /// Stage 3: answers the query via the attached Monte-Carlo engine. `cq`
   /// is the scaled start vector in reordered ids; the returned scores are
   /// in ORIGINAL ids (the engine walks the raw graph). Appends the "mc"
   /// attempt (iterations = walks, residual = confidence half-width) to

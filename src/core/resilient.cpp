@@ -8,7 +8,6 @@
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "solver/bicgstab.hpp"
 #include "solver/gmres.hpp"
 #include "solver/power.hpp"
 
@@ -26,8 +25,21 @@ SolveAttempt MakeAttempt(const char* stage, const SolveStats& stats,
   return attempt;
 }
 
-void Record(QueryReport* report, const SolveAttempt& attempt,
-            const char* request_id) {
+/// Closes a per-stage trace span with the attempt's verdict attached.
+void FinishHopSpan(TraceSpan* span, const SolveAttempt& attempt,
+                   const char* request_id) {
+  if (!span->active()) return;
+  span->Arg("stage", attempt.stage);
+  span->Arg("outcome", SolveOutcomeName(attempt.outcome));
+  span->Arg("iterations", attempt.iterations);
+  span->Arg("residual", attempt.residual);
+  if (request_id != nullptr) span->Arg("request_id", std::string(request_id));
+}
+
+}  // namespace
+
+void RecordAttempt(const SolveAttempt& attempt, const char* request_id,
+                   QueryReport* report) {
   if (MetricsEnabled()) {
     // Dynamic name lookup is fine here: one registry probe per solver
     // attempt, orders of magnitude colder than the inner iterations.
@@ -42,107 +54,49 @@ void Record(QueryReport* report, const SolveAttempt& attempt,
   report->final_outcome = attempt.outcome;
 }
 
-/// Closes a per-hop trace span with the attempt's verdict attached.
-void FinishHopSpan(TraceSpan* span, const SolveAttempt& attempt,
-                   const char* request_id) {
-  if (!span->active()) return;
-  span->Arg("stage", attempt.stage);
-  span->Arg("outcome", SolveOutcomeName(attempt.outcome));
-  span->Arg("iterations", attempt.iterations);
-  span->Arg("residual", attempt.residual);
-  if (request_id != nullptr) span->Arg("request_id", std::string(request_id));
+PrimaryPreconditioner::PrimaryPreconditioner(const CsrMatrix& schur,
+                                             const Ilu0* ilu)
+    : ilu_(ilu) {
+  // The Schur complement of an RWR system is a nonsingular M-matrix, so
+  // its diagonal is safe to invert.
+  if (ilu_ == nullptr) jacobi_.emplace(schur);
 }
 
-}  // namespace
+const Preconditioner& PrimaryPreconditioner::get() const {
+  if (ilu_ != nullptr) return *ilu_;
+  return *jacobi_;
+}
 
-ResilientSchurSolver::ResilientSchurSolver(const CsrMatrix& schur,
-                                           const Ilu0* ilu,
-                                           ResilientSolveOptions options,
-                                           const LinearOperator* op)
-    : schur_(schur), ilu_(ilu), options_(options), op_(op) {}
+const char* PrimaryPreconditioner::stage() const {
+  return ilu_ != nullptr ? "ilu0+gmres" : "jacobi+gmres";
+}
 
-Result<Vector> ResilientSchurSolver::Solve(const Vector& b,
-                                           QueryReport* report) const {
-  if (static_cast<index_t>(b.size()) != schur_.rows()) {
-    return Status::InvalidArgument("Schur rhs size mismatch");
-  }
-  CsrOperator fallback_op(schur_);
-  const LinearOperator& op = op_ != nullptr ? *op_ : fallback_op;
+Result<Vector> PrimarySchurSolve(const LinearOperator& op,
+                                 const PrimaryPreconditioner& precond,
+                                 const Vector& b,
+                                 const ResilientSolveOptions& options,
+                                 QueryReport* report) {
   GmresOptions gm;
-  gm.tol = options_.tol;
-  gm.max_iters = options_.max_iters;
-  gm.restart = options_.gmres_restart;
-  gm.cancel = options_.cancel;
-
-  // Hop 1: the paper's configuration, when the ILU(0) factors exist.
-  if (ilu_ != nullptr) {
-    TraceSpan hop_span("schur.hop");
-    Timer hop_timer;
-    SolveStats stats;
-    BEPI_ASSIGN_OR_RETURN(Vector x, Gmres(op, b, gm, &stats, ilu_,
-                                          options_.x0,
-                                          options_.gmres_workspace));
-    const SolveAttempt attempt =
-        MakeAttempt("ilu0+gmres", stats, hop_timer.Seconds());
-    FinishHopSpan(&hop_span, attempt, options_.request_id);
-    Record(report, attempt, options_.request_id);
-    if (stats.converged) return x;
-    // A cancelled hop ends the chain: degrading further would only burn
-    // more time past the deadline. Hand back the best iterate; the
-    // recorded attempt carries its residual.
-    if (stats.outcome == SolveOutcome::kCancelled) return x;
-    if (!options_.enable_fallbacks) {
-      return Status::NotConverged("Schur solve (ilu0+gmres) ended with " +
-                                  std::string(SolveOutcomeName(stats.outcome)) +
-                                  " and fallbacks are disabled");
-    }
-  }
-
-  // Hop 2: Jacobi-preconditioned GMRES. The Schur complement of an RWR
-  // system is a nonsingular M-matrix, so its diagonal is safe to invert;
-  // this hop survives any ILU(0) breakdown or ILU-induced NaN.
-  {
-    TraceSpan hop_span("schur.hop");
-    Timer hop_timer;
-    SolveStats stats;
-    JacobiPreconditioner jacobi(schur_);
-    BEPI_ASSIGN_OR_RETURN(Vector x, Gmres(op, b, gm, &stats, &jacobi,
-                                          options_.x0,
-                                          options_.gmres_workspace));
-    const SolveAttempt attempt =
-        MakeAttempt("jacobi+gmres", stats, hop_timer.Seconds());
-    FinishHopSpan(&hop_span, attempt, options_.request_id);
-    Record(report, attempt, options_.request_id);
-    if (stats.converged) return x;
-    if (stats.outcome == SolveOutcome::kCancelled) return x;
-    if (!options_.enable_fallbacks && ilu_ == nullptr) {
-      return Status::NotConverged("Schur solve (jacobi+gmres) ended with " +
-                                  std::string(SolveOutcomeName(stats.outcome)) +
-                                  " and fallbacks are disabled");
-    }
-  }
-
-  // Hop 3: unpreconditioned BiCGSTAB — a different Krylov recurrence that
-  // does not share GMRES's restart-stagnation failure mode.
-  {
-    TraceSpan hop_span("schur.hop");
-    Timer hop_timer;
-    SolveStats stats;
-    BicgstabOptions bi;
-    bi.tol = options_.tol;
-    bi.max_iters = options_.max_iters;
-    bi.cancel = options_.cancel;
-    BEPI_ASSIGN_OR_RETURN(Vector x, Bicgstab(op, b, bi, &stats));
-    const SolveAttempt attempt =
-        MakeAttempt("bicgstab", stats, hop_timer.Seconds());
-    FinishHopSpan(&hop_span, attempt, options_.request_id);
-    Record(report, attempt, options_.request_id);
-    if (stats.converged) return x;
-    if (stats.outcome == SolveOutcome::kCancelled) return x;
-  }
-
-  return Status::NotConverged(
-      "all Krylov stages of the Schur degradation chain failed");
+  gm.tol = options.tol;
+  gm.max_iters = options.max_iters;
+  gm.restart = options.gmres_restart;
+  gm.cancel = options.cancel;
+  TraceSpan hop_span("schur.hop");
+  Timer hop_timer;
+  SolveStats stats;
+  BEPI_ASSIGN_OR_RETURN(Vector x, Gmres(op, b, gm, &stats, &precond.get(),
+                                        options.x0, options.gmres_workspace));
+  const SolveAttempt attempt =
+      MakeAttempt(precond.stage(), stats, hop_timer.Seconds());
+  FinishHopSpan(&hop_span, attempt, options.request_id);
+  RecordAttempt(attempt, options.request_id, report);
+  // A cancelled hop ends the chain: degrading further would only burn
+  // more time past the deadline. Hand back the best iterate; the
+  // recorded attempt carries its residual.
+  if (stats.converged || stats.outcome == SolveOutcome::kCancelled) return x;
+  return Status::NotConverged("Schur solve (" + attempt.stage +
+                              ") ended with " +
+                              SolveOutcomeName(stats.outcome));
 }
 
 namespace {
@@ -214,8 +168,8 @@ Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
   BEPI_ASSIGN_OR_RETURN(Vector r, FixedPointIteration(g_op, cq, fp, &stats));
   const SolveAttempt attempt = MakeAttempt("power", stats, hop_timer.Seconds());
   FinishHopSpan(&fallback_span, attempt, options.request_id);
-  Record(report, attempt, options.request_id);
-  // Mirror the Krylov chain's cancellation contract: ok Result, partial
+  RecordAttempt(attempt, options.request_id, report);
+  // Mirror the primary hop's cancellation contract: ok Result, partial
   // iterate, report->final_outcome == kCancelled.
   if (stats.outcome == SolveOutcome::kCancelled) return r;
   if (!stats.converged) {

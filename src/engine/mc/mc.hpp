@@ -2,8 +2,8 @@
 // stage of the degradation chain and a cross-check oracle for every
 // linear-algebra path.
 //
-// Every stage of the Krylov chain (core/resilient.hpp) consumes the same
-// preprocessed artifacts — the reordered block factors, the Schur
+// Every linear-algebra stage of the chain (core/resilient.hpp) consumes
+// the same preprocessed artifacts — the reordered block factors, the Schur
 // complement, the bound CSR kernels — so one corrupted model section or
 // latent kernel bug can defeat all of them at once. This engine shares
 // none of that: it estimates r = c * sum_t (1-c)^t (Ã^T)^t q by simulating

@@ -42,7 +42,6 @@ std::uint64_t ModelFingerprint(const BepiSolver& solver) {
   h = Fnv1a(h, static_cast<std::uint64_t>(opt.max_iterations));
   h = Fnv1a(h, static_cast<std::uint64_t>(opt.gmres_restart));
   h = Fnv1a(h, static_cast<std::uint64_t>(opt.mode));
-  h = Fnv1a(h, static_cast<std::uint64_t>(opt.inner_solver));
   return h;
 }
 

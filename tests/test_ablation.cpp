@@ -1,6 +1,5 @@
-// The ablation knobs: BiCGSTAB as BePI's inner solver, and random hub
-// selection as the SlashBurn control. Both must stay exact; the benches
-// quantify their performance differences.
+// The ablation knob: random hub selection as the SlashBurn control. It
+// must stay exact; the benches quantify its performance difference.
 #include <gtest/gtest.h>
 
 #include "core/bepi.hpp"
@@ -9,40 +8,6 @@
 
 namespace bepi {
 namespace {
-
-TEST(Ablation, BicgstabInnerSolverMatchesExact) {
-  Graph g = test::SmallRmat(130, 560, 0.25, 1307);
-  RwrOptions base;
-  ExactSolver exact(base);
-  ASSERT_TRUE(exact.Preprocess(g).ok());
-  BepiOptions options;
-  options.inner_solver = BepiInnerSolver::kBicgstab;
-  BepiSolver solver(options);
-  ASSERT_TRUE(solver.Preprocess(g).ok());
-  for (index_t seed : {0, 64, 129}) {
-    auto re = exact.Query(seed);
-    QueryStats stats;
-    auto rb = solver.Query(seed, &stats);
-    ASSERT_TRUE(re.ok());
-    ASSERT_TRUE(rb.ok());
-    EXPECT_LT(DistL2(*re, *rb), 1e-6) << "seed " << seed;
-  }
-}
-
-TEST(Ablation, BicgstabAgreesWithGmresInner) {
-  Graph g = test::SmallRmat(200, 900, 0.2, 1319);
-  BepiOptions gm_options;
-  BepiOptions bi_options;
-  bi_options.inner_solver = BepiInnerSolver::kBicgstab;
-  BepiSolver gm(gm_options), bi(bi_options);
-  ASSERT_TRUE(gm.Preprocess(g).ok());
-  ASSERT_TRUE(bi.Preprocess(g).ok());
-  auto r1 = gm.Query(50);
-  auto r2 = bi.Query(50);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_LT(DistL2(*r1, *r2), 1e-6);
-}
 
 TEST(Ablation, RandomHubSelectionStaysExact) {
   Graph g = test::SmallRmat(120, 520, 0.2, 1321);

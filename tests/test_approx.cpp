@@ -1,9 +1,10 @@
-// Approximate RWR solvers (forward push, Monte Carlo) vs the exact
+// Approximate RWR methods (forward push, Monte-Carlo walks) vs the exact
 // solution: accuracy bounds, parameter monotonicity, error paths.
 #include <gtest/gtest.h>
 
 #include "core/approx.hpp"
 #include "core/exact.hpp"
+#include "engine/mc/mc.hpp"
 #include "test_util.hpp"
 
 namespace bepi {
@@ -110,6 +111,12 @@ TEST(ForwardPush, ErrorPaths) {
   EXPECT_FALSE(rejects.Preprocess(g).ok());
 }
 
+McOptions Walks(std::uint64_t walks) {
+  McOptions options;
+  options.walks = walks;
+  return options;
+}
+
 TEST(MonteCarlo, ConvergesInDistribution) {
   Graph g = test::SmallRmat(60, 280, 0.1, 1237);
   RwrOptions base;
@@ -118,18 +125,14 @@ TEST(MonteCarlo, ConvergesInDistribution) {
   auto r_exact = exact.Query(5);
   ASSERT_TRUE(r_exact.ok());
 
-  MonteCarloOptions options;
-  options.num_walks = 200000;
-  MonteCarloSolver solver(options);
-  ASSERT_TRUE(solver.Preprocess(g).ok());
-  QueryStats stats;
-  auto r = solver.Query(5, &stats);
-  ASSERT_TRUE(r.ok());
+  McWalkEngine engine(g);
+  auto est = engine.EstimateSeed(5, Walks(200000));
+  ASSERT_TRUE(est.ok());
   // L-infinity error of a multinomial estimate with 2e5 samples.
-  Vector diff = *r;
+  Vector diff = est->scores;
   Axpy(-1.0, *r_exact, &diff);
   EXPECT_LT(NormInf(diff), 0.01);
-  EXPECT_GT(stats.iterations, options.num_walks);  // steps > walks
+  EXPECT_GT(est->total_steps, est->walks_completed);  // steps > walks
 }
 
 TEST(MonteCarlo, MoreWalksReduceError) {
@@ -139,16 +142,14 @@ TEST(MonteCarlo, MoreWalksReduceError) {
   ASSERT_TRUE(exact.Preprocess(g).ok());
   auto r_exact = exact.Query(2);
   ASSERT_TRUE(r_exact.ok());
+  McWalkEngine engine(g);
   real_t coarse_error = 0.0, fine_error = 0.0;
-  for (auto [walks, out] : {std::pair<index_t, real_t*>{500, &coarse_error},
-                            std::pair<index_t, real_t*>{100000, &fine_error}}) {
-    MonteCarloOptions options;
-    options.num_walks = walks;
-    MonteCarloSolver solver(options);
-    ASSERT_TRUE(solver.Preprocess(g).ok());
-    auto r = solver.Query(2);
-    ASSERT_TRUE(r.ok());
-    Vector diff = *r;
+  for (auto [walks, out] :
+       {std::pair<std::uint64_t, real_t*>{500, &coarse_error},
+        std::pair<std::uint64_t, real_t*>{100000, &fine_error}}) {
+    auto est = engine.EstimateSeed(2, Walks(walks));
+    ASSERT_TRUE(est.ok());
+    Vector diff = est->scores;
     Axpy(-1.0, *r_exact, &diff);
     *out = Norm2(diff);
   }
@@ -157,28 +158,21 @@ TEST(MonteCarlo, MoreWalksReduceError) {
 
 TEST(MonteCarlo, EstimateIsADistributionUpToDeadendLeak) {
   Graph g = test::SmallRmat(80, 320, 0.3, 1259);
-  MonteCarloOptions options;
-  options.num_walks = 20000;
-  MonteCarloSolver solver(options);
-  ASSERT_TRUE(solver.Preprocess(g).ok());
-  auto r = solver.Query(1);
-  ASSERT_TRUE(r.ok());
-  for (real_t v : *r) EXPECT_GE(v, 0.0);
-  EXPECT_LE(Norm1(*r), 1.0 + 1e-12);
+  McWalkEngine engine(g);
+  auto est = engine.EstimateSeed(1, Walks(20000));
+  ASSERT_TRUE(est.ok());
+  for (real_t v : est->scores) EXPECT_GE(v, 0.0);
+  EXPECT_LE(Norm1(est->scores), 1.0 + 1e-12);
 }
 
 TEST(MonteCarlo, DeterministicPerSeedOption) {
   Graph g = test::SmallRmat(40, 160, 0.1, 1277);
-  MonteCarloOptions options;
-  options.num_walks = 5000;
-  MonteCarloSolver a(options), b(options);
-  ASSERT_TRUE(a.Preprocess(g).ok());
-  ASSERT_TRUE(b.Preprocess(g).ok());
-  auto r1 = a.Query(3);
-  auto r2 = b.Query(3);
+  McWalkEngine a(g), b(g);
+  auto r1 = a.EstimateSeed(3, Walks(5000));
+  auto r2 = b.EstimateSeed(3, Walks(5000));
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(*r1, *r2);
+  EXPECT_EQ(r1->scores, r2->scores);
 }
 
 TEST(MonteCarlo, PersonalizedVector) {
@@ -190,32 +184,26 @@ TEST(MonteCarlo, PersonalizedVector) {
   ASSERT_TRUE(q.ok());
   auto expected = exact.QueryVector(*q);
   ASSERT_TRUE(expected.ok());
-  MonteCarloOptions options;
-  options.num_walks = 200000;
-  MonteCarloSolver solver(options);
-  ASSERT_TRUE(solver.Preprocess(g).ok());
-  auto r = solver.QueryVector(*q);
-  ASSERT_TRUE(r.ok());
-  Vector diff = *r;
+  McWalkEngine engine(g);
+  auto est = engine.EstimateVector(*q, Walks(200000));
+  ASSERT_TRUE(est.ok());
+  Vector diff = est->scores;
   Axpy(-1.0, *expected, &diff);
   EXPECT_LT(NormInf(diff), 0.01);
 }
 
 TEST(MonteCarlo, ErrorPaths) {
-  MonteCarloSolver solver(MonteCarloOptions{});
-  EXPECT_FALSE(solver.Query(0).ok());
   Graph g = test::SmallRmat(30, 120, 0.1, 1283);
-  ASSERT_TRUE(solver.Preprocess(g).ok());
-  EXPECT_FALSE(solver.Query(30).ok());
-  EXPECT_FALSE(solver.QueryVector(Vector(5, 0.1)).ok());
-  EXPECT_FALSE(solver.QueryVector(Vector(30, 0.0)).ok());
+  McWalkEngine engine(g);
+  const McOptions options = Walks(1000);
+  EXPECT_FALSE(engine.EstimateSeed(30, options).ok());
+  EXPECT_FALSE(engine.EstimateSeed(-1, options).ok());
+  EXPECT_FALSE(engine.EstimateVector(Vector(5, 0.1), options).ok());
+  EXPECT_FALSE(engine.EstimateVector(Vector(30, 0.0), options).ok());
   Vector negative(30, 0.0);
   negative[2] = -1.0;
-  EXPECT_FALSE(solver.QueryVector(negative).ok());
-  MonteCarloOptions bad;
-  bad.num_walks = 0;
-  MonteCarloSolver rejects(bad);
-  EXPECT_FALSE(rejects.Preprocess(g).ok());
+  EXPECT_FALSE(engine.EstimateVector(negative, options).ok());
+  EXPECT_FALSE(engine.EstimateSeed(0, Walks(0)).ok());
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // Resilience layer tests: FaultInjector semantics, solver breakdown
-// detection, and the BePI degradation chain
-// ILU(0)+GMRES -> Jacobi+GMRES -> BiCGSTAB -> global power iteration.
+// detection, and the BePI degradation chain: the primary GMRES hop
+// (ILU(0), or Jacobi without the factors) -> global power iteration ->
+// the Monte-Carlo terminal stage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/faultinject.hpp"
 #include "core/bepi.hpp"
+#include "core/exact.hpp"
 #include "core/iterative.hpp"
 #include "core/resilient.hpp"
-#include "solver/bicgstab.hpp"
+#include "engine/mc/mc.hpp"
 #include "solver/gmres.hpp"
 #include "solver/ilu0.hpp"
 #include "solver/power.hpp"
@@ -106,7 +111,7 @@ TEST_F(FaultInjectorTest, DisarmAndResetClearState) {
 
 TEST_F(FaultInjectorTest, ConfigureParsesDeterministicAndProbabilistic) {
   auto& fi = FaultInjector::Global();
-  ASSERT_TRUE(fi.Configure("ilu0.factor,gmres.stagnate:2,bicgstab.nan:1:3,"
+  ASSERT_TRUE(fi.Configure("ilu0.factor,gmres.stagnate:2,gmres.nan:1:3,"
                            "graph.io.read@0.25@9")
                   .ok());
   EXPECT_EQ(fi.ArmedSites().size(), 4u);
@@ -123,6 +128,20 @@ TEST_F(FaultInjectorTest, ConfigureRejectsMalformedSpecs) {
   EXPECT_EQ(fi.Configure(":1").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(fi.Configure("a:1:2:3").code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(fi.Configure("").ok());
+  // A well-formed entry naming no site is an error that names the site,
+  // not a drill that silently arms nothing.
+  const Status unknown = fi.Configure("gmres.stagnate,bicgstab.breakdown");
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.ToString().find("bicgstab.breakdown"), std::string::npos)
+      << unknown.ToString();
+  EXPECT_TRUE(fi.ArmedSites().empty());
+  // The whole spec is checked before anything is armed: the valid entry
+  // ahead of the bad one stays disarmed.
+  EXPECT_EQ(fi.Configure("ilu0.factor,gmres.nan:x").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(fi.ArmedSites().empty());
+  EXPECT_FALSE(fi.ShouldFail(fault_sites::kGmresStagnate));
+  EXPECT_FALSE(fi.ShouldFail(fault_sites::kIluFactor));
 }
 
 // ---------------------------------------------------------------------------
@@ -215,35 +234,6 @@ TEST_F(SolverGuardTest, GmresDetectsRealStagnation) {
   EXPECT_LT(stats.iterations, 100);  // gave up early, not at the budget
 }
 
-TEST_F(SolverGuardTest, BicgstabInjectedBreakdown) {
-  Rng rng(15);
-  CsrMatrix a = test::RandomDiagDominant(20, 0.3, &rng);
-  Vector b = test::RandomVector(20, &rng);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
-  CsrOperator op(a);
-  SolveStats stats;
-  auto x = Bicgstab(op, b, BicgstabOptions{}, &stats);
-  ASSERT_TRUE(x.ok());
-  EXPECT_FALSE(stats.converged);
-  EXPECT_EQ(stats.outcome, SolveOutcome::kBreakdown);
-  EXPECT_TRUE(AllFinite(*x));
-}
-
-TEST_F(SolverGuardTest, BicgstabNanPoisonDiverges) {
-  Rng rng(16);
-  CsrMatrix a = test::RandomDiagDominant(20, 0.3, &rng);
-  Vector b = test::RandomVector(20, &rng);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabNan, /*skip=*/0,
-                              /*count=*/1);
-  CsrOperator op(a);
-  SolveStats stats;
-  auto x = Bicgstab(op, b, BicgstabOptions{}, &stats);
-  ASSERT_TRUE(x.ok());
-  EXPECT_FALSE(stats.converged);
-  EXPECT_EQ(stats.outcome, SolveOutcome::kDiverged);
-  EXPECT_TRUE(AllFinite(*x));
-}
-
 TEST_F(SolverGuardTest, FixedPointNonFiniteDiverges) {
   CsrMatrix g = CsrMatrix::Identity(4);
   Vector f(4, 0.0);
@@ -305,41 +295,25 @@ TEST_F(DegradationChainTest, IluBreakdownAtPreprocessFallsToJacobi) {
   QueryStats stats;
   auto r = solver.Query(7, &stats);
   ASSERT_TRUE(r.ok());
-  ASSERT_GE(stats.report.attempts.size(), 1u);
+  ASSERT_EQ(stats.report.attempts.size(), 1u);
   EXPECT_EQ(stats.report.attempts[0].stage, "jacobi+gmres");
   EXPECT_EQ(stats.report.final_outcome, SolveOutcome::kConverged);
   EXPECT_LT(DistL1(*r, Reference(7)), 1e-6);
 }
 
-TEST_F(DegradationChainTest, GmresStagnationFallsToBicgstab) {
-  FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  BepiSolver solver(BepiOptions{});
-  ASSERT_TRUE(solver.Preprocess(graph_).ok());
-  QueryStats stats;
-  auto r = solver.Query(11, &stats);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(stats.report.attempts.size(), 3u);
-  EXPECT_EQ(stats.report.attempts[0].stage, "ilu0+gmres");
-  EXPECT_EQ(stats.report.attempts[0].outcome, SolveOutcome::kStagnated);
-  EXPECT_EQ(stats.report.attempts[1].stage, "jacobi+gmres");
-  EXPECT_EQ(stats.report.attempts[2].stage, "bicgstab");
-  EXPECT_EQ(stats.report.attempts[2].outcome, SolveOutcome::kConverged);
-  EXPECT_EQ(stats.report.fallback_hops(), 2);
-  EXPECT_LT(DistL1(*r, Reference(11)), 1e-6);
-}
-
 TEST_F(DegradationChainTest, AllKrylovHopsFailFallsToPowerIteration) {
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
   QueryStats stats;
   auto r = solver.Query(19, &stats);
   ASSERT_TRUE(r.ok());
-  ASSERT_EQ(stats.report.attempts.size(), 4u);
+  ASSERT_EQ(stats.report.attempts.size(), 2u);
+  EXPECT_EQ(stats.report.attempts[0].stage, "ilu0+gmres");
+  EXPECT_EQ(stats.report.attempts[0].outcome, SolveOutcome::kStagnated);
   EXPECT_EQ(stats.report.attempts.back().stage, "power");
   EXPECT_EQ(stats.report.attempts.back().outcome, SolveOutcome::kConverged);
-  EXPECT_EQ(stats.report.fallback_hops(), 3);
+  EXPECT_EQ(stats.report.fallback_hops(), 1);
   EXPECT_EQ(stats.outcome, SolveOutcome::kConverged);
   EXPECT_LT(DistL1(*r, Reference(19)), 1e-6);
   // The report renders a readable chain summary.
@@ -349,7 +323,6 @@ TEST_F(DegradationChainTest, AllKrylovHopsFailFallsToPowerIteration) {
 
 TEST_F(DegradationChainTest, QueryVectorAlsoTakesTheChain) {
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
   auto q = PersonalizationVector(graph_.num_nodes(), {{3, 0.5}, {19, 0.5}});
@@ -382,7 +355,6 @@ TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
   auto loaded = BepiSolver::Load(stream);
   ASSERT_TRUE(loaded.ok());
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   QueryStats stats;
   auto r = loaded->Query(23, &stats);
   ASSERT_TRUE(r.ok());
@@ -414,7 +386,6 @@ TEST_F(DeadendGraphTest, AllDeadendGraphQueriesExactly) {
 TEST_F(DeadendGraphTest, FaultsOnDeadendOnlyGraphAreHarmless) {
   FaultInjector::Global().Arm(fault_sites::kIluFactor);
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   auto g = Graph::FromEdges(5, {});
   ASSERT_TRUE(g.ok());
   BepiSolver solver(BepiOptions{});
@@ -428,7 +399,6 @@ TEST_F(DeadendGraphTest, FaultsOnDeadendOnlyGraphAreHarmless) {
 TEST_F(DeadendGraphTest, MostlyDeadendGraphSurvivesFullChain) {
   Graph g = test::SmallRmat(80, 120, 0.7, 99);
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(g).ok());
   RwrOptions ref_options;
@@ -447,7 +417,93 @@ TEST_F(DeadendGraphTest, MostlyDeadendGraphSurvivesFullChain) {
 }
 
 // ---------------------------------------------------------------------------
-// ResilientSchurSolver / GlobalPowerFallback argument handling
+// Rescue audit: every combination of the linear-algebra fault sites
+// ---------------------------------------------------------------------------
+
+using RescueAuditTest = ResilienceTest;
+
+// ILU(0) breakdown, GMRES stagnation and GMRES NaN poisoning — each off,
+// firing once or firing forever — with and without a stalled power stage
+// backed by the MC engine: every combination answers, within the bound it
+// reports, through exactly primary -> power (-> mc). A fault that fires
+// once never reaches a later stage, so a second Krylov hop would rescue
+// nothing the power stage does not.
+TEST_F(RescueAuditTest, EveryFaultComboAnswersWithinItsBound) {
+  const Graph g = test::SmallRmat(200, 1200, 0.15, 42);
+  ExactSolver exact{RwrOptions{}};
+  ASSERT_TRUE(exact.Preprocess(g).ok());
+  McWalkEngine engine(g);
+  const BepiOptions options;
+
+  // A seed whose Schur solve iterates: a deadend (or a spoke block cut off
+  // from the hubs) has q2~ = 0 and converges before any fault site.
+  index_t seed = -1;
+  {
+    BepiSolver probe_solver(options);
+    ASSERT_TRUE(probe_solver.Preprocess(g).ok());
+    for (index_t s = 0; s < g.num_nodes() && seed < 0; ++s) {
+      QueryStats probe;
+      ASSERT_TRUE(probe_solver.Query(s, &probe).ok());
+      if (probe.iterations > 0) seed = s;
+    }
+  }
+  ASSERT_GE(seed, 0);
+  auto truth = exact.Query(seed);
+  ASSERT_TRUE(truth.ok());
+
+  auto& fi = FaultInjector::Global();
+  for (index_t ilu : {0, 1, -1}) {
+    for (index_t stagnate : {0, 1, -1}) {
+      for (index_t nan : {0, 1, -1}) {
+        for (bool stall : {false, true}) {
+          SCOPED_TRACE("ilu0.factor=" + std::to_string(ilu) +
+                       " gmres.stagnate=" + std::to_string(stagnate) +
+                       " gmres.nan=" + std::to_string(nan) +
+                       " power.stall+mc=" + std::to_string(stall));
+          fi.Reset();
+          if (ilu != 0) fi.Arm(fault_sites::kIluFactor, 0, ilu);
+          if (stagnate != 0) fi.Arm(fault_sites::kGmresStagnate, 0, stagnate);
+          if (nan != 0) fi.Arm(fault_sites::kGmresNan, 0, nan);
+          if (stall) fi.Arm(fault_sites::kPowerStall);
+          BepiSolver solver(options);
+          ASSERT_TRUE(solver.Preprocess(g).ok());
+          if (stall) {
+            ASSERT_TRUE(solver.AttachMcFallback(&engine).ok());
+          }
+          QueryStats stats;
+          auto r = solver.Query(seed, &stats);
+          fi.Reset();
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+          std::vector<std::string> expected = {ilu != 0 ? "jacobi+gmres"
+                                                        : "ilu0+gmres"};
+          if (stagnate != 0 || nan != 0) {
+            expected.push_back("power");
+            if (stall) expected.push_back("mc");
+          }
+          std::vector<std::string> stages;
+          for (const SolveAttempt& a : stats.report.attempts) {
+            stages.push_back(a.stage);
+          }
+          EXPECT_EQ(stages, expected);
+
+          real_t bound = stats.error_bound;
+          if (stats.outcome == SolveOutcome::kConverged && bound == 0.0) {
+            bound = options.tolerance;
+          }
+          real_t worst = 0.0;
+          for (std::size_t v = 0; v < truth->size(); ++v) {
+            worst = std::max(worst, std::fabs((*r)[v] - (*truth)[v]));
+          }
+          EXPECT_LE(worst, bound) << stats.report.Summary();
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// PrimarySchurSolve argument handling
 // ---------------------------------------------------------------------------
 
 using ResilientApiTest = ResilienceTest;
@@ -455,9 +511,13 @@ using ResilientApiTest = ResilienceTest;
 TEST_F(ResilientApiTest, ShapeMismatchIsInvalidArgument) {
   Rng rng(21);
   CsrMatrix s = test::RandomDiagDominant(8, 0.4, &rng);
-  ResilientSchurSolver solver(s, nullptr, ResilientSolveOptions{});
+  CsrOperator op(s);
+  const PrimaryPreconditioner precond(s, nullptr);
   Vector wrong(3, 0.0);
-  EXPECT_EQ(solver.Solve(wrong, nullptr).status().code(),
+  EXPECT_EQ(PrimarySchurSolve(op, precond, wrong, ResilientSolveOptions{},
+                              nullptr)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -465,11 +525,12 @@ TEST_F(ResilientApiTest, SolveWithoutIluStartsAtJacobi) {
   Rng rng(22);
   CsrMatrix s = test::RandomDiagDominant(30, 0.2, &rng);
   Vector b = test::RandomVector(30, &rng);
-  ResilientSchurSolver solver(s, nullptr, ResilientSolveOptions{});
+  CsrOperator op(s);
+  const PrimaryPreconditioner precond(s, nullptr);
   QueryReport report;
-  auto x = solver.Solve(b, &report);
+  auto x = PrimarySchurSolve(op, precond, b, ResilientSolveOptions{}, &report);
   ASSERT_TRUE(x.ok());
-  ASSERT_GE(report.attempts.size(), 1u);
+  ASSERT_EQ(report.attempts.size(), 1u);
   EXPECT_EQ(report.attempts[0].stage, "jacobi+gmres");
   EXPECT_LT(DistL2(s.Multiply(*x), b), 1e-6);
 }

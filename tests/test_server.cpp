@@ -849,12 +849,16 @@ TEST_F(ServerTest, ConnectionCapShedsWithOverloadedLine) {
   close(shed);
 
   // Closing the held connection frees the slot for a fresh client. Until
-  // the server notices, a retry is shed and closed, so the probe write may
-  // hit a closed socket: MSG_NOSIGNAL turns that into EPIPE, not SIGPIPE.
+  // the server notices — its reader thread may need a scheduling quantum
+  // or more to see the EOF, hence the pause under a bounded deadline — a
+  // retry is shed and closed, so the probe write may hit a closed socket:
+  // MSG_NOSIGNAL turns that into EPIPE, not SIGPIPE.
   close(held);
   std::string answer;
-  for (int i = 0; i < 200 && answer.find("\"ok\":true") == std::string::npos;
-       ++i) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (answer.find("\"ok\":true") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
     const int next = ConnectUnix(path);
     ASSERT_GE(next, 0);
     if (send(next, probe, std::strlen(probe), MSG_NOSIGNAL) ==
@@ -862,6 +866,9 @@ TEST_F(ServerTest, ConnectionCapShedsWithOverloadedLine) {
       answer = ReadOneLine(next);
     }
     close(next);
+    if (answer.find("\"ok\":true") == std::string::npos) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
   EXPECT_NE(answer.find("\"ok\":true"), std::string::npos) << answer;
   EXPECT_GE(server.Stats().rejected_conns, 1u);
@@ -1029,10 +1036,10 @@ TEST_F(ServerTest, DumpVerbReturnsFlightRecorderTrace) {
 }
 
 // The acceptance scenario: with every linear-algebra stage fault-injected,
-// one request degrades ilu0+gmres -> jacobi+gmres -> bicgstab -> power ->
-// mc. The response's timing must name all five stages with per-stage
-// wall-clock, the flight recorder must hold the same hop sequence under
-// the request_id, and the slow-query log machinery must attribute it.
+// one request degrades ilu0+gmres -> power -> mc. The response's timing
+// must name all three stages with per-stage wall-clock, the flight
+// recorder must hold the same hop sequence under the request_id, and the
+// slow-query log machinery must attribute it.
 TEST_F(ServerTest, FullDegradationChainIsObservableEndToEnd) {
   FlightRecorder::ResetForTest();
   BepiOptions options;
@@ -1044,7 +1051,7 @@ TEST_F(ServerTest, FullDegradationChainIsObservableEndToEnd) {
 
   FaultInjector::Global().Reset();
   ASSERT_TRUE(FaultInjector::Global()
-                  .Configure("gmres.stagnate,bicgstab.breakdown,power.stall")
+                  .Configure("gmres.stagnate,power.stall")
                   .ok());
   ServeOptions serve_options;
   serve_options.slots = 1;
@@ -1065,8 +1072,7 @@ TEST_F(ServerTest, FullDegradationChainIsObservableEndToEnd) {
   EXPECT_EQ(parsed->object_value.at("stage").string_value, "mc");
   const auto& stages =
       parsed->object_value.at("timing").object_value.at("stages").array_value;
-  const std::vector<std::string> expected = {
-      "ilu0+gmres", "jacobi+gmres", "bicgstab", "power", "mc"};
+  const std::vector<std::string> expected = {"ilu0+gmres", "power", "mc"};
   ASSERT_EQ(stages.size(), expected.size()) << line;
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(stages[i].object_value.at("stage").string_value, expected[i]);

@@ -195,7 +195,7 @@ const CommandHelp kCommands[] = {
      "example:\n"
      "  bepi_cli crosscheck --graph=/tmp/g.txt --seeds=5\n"
      "  bepi_cli crosscheck --graph=/tmp/g.txt \\\n"
-     "    --fault-inject=ilu0.factor,gmres.stagnate,bicgstab.breakdown\n"},
+     "    --fault-inject=ilu0.factor,gmres.stagnate,power.stall\n"},
     {"rank",
      "rank       --graph=FILE --seed-node=ID [--topk=10]",
      "bepi_cli rank — one-shot preprocess + query (no model file)\n"

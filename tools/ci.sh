@@ -248,7 +248,7 @@ smoke_crosscheck() {
   # 2. Every linear-algebra stage fault-injected: the degradation chain
   # must bottom out in the MC terminal stage and still answer with a
   # bounded-error reply — over the CLI and over serve.
-  local faults="ilu0.factor,gmres.stagnate,bicgstab.breakdown,power.stall"
+  local faults="ilu0.factor,gmres.stagnate,power.stall"
   "$cli" preprocess --graph="$work/graph.txt" --model="$work/model.txt" \
     >/dev/null
   # Seed 5 is not a deadend in this graph: a deadend seed's RWR vector is
@@ -325,7 +325,7 @@ smoke_topk() {
   # 3. A fully faulted chain must still answer a top-k query: the MC
   # terminal stage produces the full vector, it is ranked, and eps mode
   # keeps carrying an explicit per-score bound.
-  local faults="ilu0.factor,gmres.stagnate,bicgstab.breakdown,power.stall"
+  local faults="ilu0.factor,gmres.stagnate,power.stall"
   BEPI_FAULT_INJECT="$faults" "$cli" query --model="$work/spoke.model" \
     --graph="$work/spoke.txt" --seed-node=5 --top-k=10 --eps=1e-3 \
     >"$work/faulted_topk.out" 2>&1
@@ -683,11 +683,11 @@ print(f"    flood: {len(served)} timed responses, strict exposition parse "
 EOF
 
   # 2. The acceptance scenario: every linear-algebra stage fault-injected,
-  # one request degrades ilu0+gmres -> jacobi+gmres -> bicgstab -> power
-  # -> mc. The response's timing must name all five stages, the flight-
-  # recorder dump must reconstruct the same hop sequence under the
-  # request_id, and the slow-query log must attribute the same request.
-  local faults="gmres.stagnate,bicgstab.breakdown,power.stall"
+  # one request degrades ilu0+gmres -> power -> mc. The response's timing
+  # must name all three stages, the flight-recorder dump must reconstruct
+  # the same hop sequence under the request_id, and the slow-query log
+  # must attribute the same request.
+  local faults="gmres.stagnate,power.stall"
   (
     printf '{"op":"query","request_id":"chain-1","seed":5}\n'
     sleep 2 # the dump verb answers inline; let the query finish first
@@ -700,7 +700,7 @@ EOF
 import json, sys
 work = sys.argv[1]
 lines = [json.loads(l) for l in open(f"{work}/chain.out")]
-expected = ["ilu0+gmres", "jacobi+gmres", "bicgstab", "power", "mc"]
+expected = ["ilu0+gmres", "power", "mc"]
 response = [l for l in lines if l.get("request_id") == "chain-1"][0]
 assert response["ok"] and response["stage"] == "mc", response
 stages = response["timing"]["stages"]
@@ -711,7 +711,7 @@ hops = [e["args"]["detail"] for e in dump["flightrec"]["traceEvents"]
         if e["name"] == "stage_hop"
         and e["args"]["request_id"] == "chain-1"]
 assert hops == expected, hops
-print("    5-stage chain: response timing names every stage; flight "
+print("    3-stage chain: response timing names every stage; flight "
       "recorder reconstructs the hop sequence by request_id")
 EOF
 
