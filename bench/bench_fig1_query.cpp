@@ -2,8 +2,11 @@
 // iteration, Bear and LU decomposition on every dataset. Methods whose
 // preprocessing fails under the shared budget/time ceiling print "-".
 //
+// Every query runs on the calling thread, so the times do not depend on
+// --threads.
+//
 // Usage: bench_fig1_query [--scale=1.0] [--queries=5] [--budget_mb=256]
-//        [--threads=N] [--json-out=BENCH_fig1_query.json]
+//        [--json-out=BENCH_fig1_query.json]
 #include "bench_util.hpp"
 #include "core/bear.hpp"
 #include "core/bepi.hpp"
@@ -17,13 +20,11 @@ int main(int argc, char** argv) {
   bench::PrintBanner("Figure 1(c): query time", config);
   bench::BenchJsonWriter json("fig1_query");
 
-  const int threads = ParallelContext::Global().num_threads();
-  Table table({"dataset", "edges", "threads", "BePI (s)", "GMRES (s)",
-               "Power (s)", "Bear (s)", "LU (s)"});
+  Table table({"dataset", "edges", "BePI (s)", "GMRES (s)", "Power (s)",
+               "Bear (s)", "LU (s)"});
   for (const DatasetSpec& spec : PaperDatasets()) {
     Graph g = bench::LoadDataset(spec, config);
-    std::vector<std::string> row{spec.name, Table::IntGrouped(g.num_edges()),
-                                 Table::Int(threads)};
+    std::vector<std::string> row{spec.name, Table::IntGrouped(g.num_edges())};
 
     auto run = [&](RwrSolver* solver, const char* method, bool skip) {
       if (!bench::RunPreprocess(solver, g, skip).ok()) {
@@ -35,7 +36,6 @@ int main(int argc, char** argv) {
       if (outcome.ok()) {
         json.Add(spec.name, method, "avg_query_seconds", outcome.avg_seconds);
         json.Add(spec.name, method, "avg_iterations", outcome.avg_iterations);
-        json.Add(spec.name, method, "threads", static_cast<double>(threads));
       }
       row.push_back(outcome.TimeCell());
     };

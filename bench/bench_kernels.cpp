@@ -66,8 +66,8 @@ void SetKernelRates(benchmark::State& state, double flops, double bytes) {
 }
 
 /// Sizes of the benchmarks that call SetKernelRates, timed on the wall
-/// clock: the pooled kernels spend most of their time on worker threads,
-/// so a rate over main-thread CPU time would overstate them.
+/// clock like every other speed number here: a query's kernels run on its
+/// calling thread, so wall time is the latency a caller sees.
 void KernelRateArgs(benchmark::internal::Benchmark* b) {
   b->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16)->UseRealTime();
 }

@@ -41,7 +41,7 @@ struct BenchConfig {
   index_t bear_max_edges = 500'000;
   index_t lu_max_edges = 120'000;
   std::uint64_t seed = 20170514;  // SIGMOD'17 conference date
-  // Worker threads for the parallel kernels (--threads); 0 keeps the
+  // Worker threads for batches and MC walks (--threads); 0 keeps the
   // BEPI_THREADS/hardware default already configured in ParallelContext.
   int threads = 0;
 

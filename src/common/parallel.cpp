@@ -4,12 +4,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
 
 namespace bepi {
 namespace {
@@ -25,19 +23,12 @@ ParallelContext* g_context = nullptr;
 /// parent, so the child can neither join nor destroy it. Never freed.
 ThreadPool* g_forked_pool = nullptr;
 
-/// One relaxed-atomic bump per executed task / successful steal. Counter
-/// pointers are cached per call site; with metrics disabled each call is
-/// a single predictable branch.
+/// One relaxed-atomic bump per executed task. The counter pointer is
+/// cached; with metrics disabled each call is a single predictable branch.
 void CountTask() {
   if (!MetricsEnabled()) return;
   BEPI_METRIC_COUNTER(tasks, "parallel.tasks");
   tasks->Increment();
-}
-
-void CountSteal() {
-  if (!MetricsEnabled()) return;
-  BEPI_METRIC_COUNTER(steals, "parallel.steal");
-  steals->Increment();
 }
 
 }  // namespace
@@ -49,96 +40,45 @@ int HardwareThreads() {
 
 ThreadPool::ThreadPool(int num_threads) {
   BEPI_CHECK(num_threads >= 1);
-  queues_.reserve(static_cast<std::size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   threads_.reserve(static_cast<std::size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(static_cast<std::size_t>(i)); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    // The lock pairs with the sleep_cv_ wait: without it a worker could
-    // check shutdown_, decide to sleep, and miss this notify forever.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    shutdown_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mutex_);
+    shutdown_ = true;
   }
-  sleep_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  const std::size_t target =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   {
-    std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(task));
   }
-  {
-    // Same hazard as shutdown in ~ThreadPool: a worker that read
-    // queued_==0 under sleep_mutex_ may not be blocked yet, so the
-    // increment must happen under the lock or the notify can be lost
-    // and the task never runs.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    queued_.fetch_add(1, std::memory_order_release);
-  }
-  sleep_cv_.notify_one();
+  cv_.notify_one();
 }
 
 bool ThreadPool::OnWorkerThread() { return t_on_worker_thread; }
 
-bool ThreadPool::TryPop(std::size_t self, std::function<void()>* task) {
-  // Own queue first (LIFO: the freshest task is the cache-warm one) ...
-  {
-    WorkerQueue& own = *queues_[self];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      *task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  // ... then steal round-robin from the victims' FIFO ends, so a stolen
-  // chunk is the one its owner would have reached last.
-  for (std::size_t i = 1; i < queues_.size(); ++i) {
-    WorkerQueue& victim = *queues_[(self + i) % queues_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      *task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      CountSteal();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(std::size_t self) {
+void ThreadPool::WorkerLoop() {
   t_on_worker_thread = true;
-  std::function<void()> task;
   for (;;) {
-    if (TryPop(self, &task)) {
-      queued_.fetch_sub(1, std::memory_order_acquire);
-      {
-        TraceSpan task_span("parallel.task");
-        CountTask();
-        task();
-      }
-      task = nullptr;
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
+      // Shutdown drains: queued tasks still run before the worker exits.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    sleep_cv_.wait(lock, [this] {
-      return queued_.load(std::memory_order_acquire) > 0 ||
-             shutdown_.load(std::memory_order_acquire);
-    });
-    if (shutdown_.load(std::memory_order_acquire) &&
-        queued_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
+    CountTask();
+    task();
   }
 }
 
@@ -209,8 +149,6 @@ Status ParallelContext::SetNumThreads(int n) {
 
 TaskGroup::TaskGroup(ThreadPool* pool) : pool_(pool) {}
 
-TaskGroup::TaskGroup() : pool_(ParallelContext::Global().pool()) {}
-
 TaskGroup::~TaskGroup() {
   // A TaskGroup destroyed with tasks in flight would let them write into
   // freed captures; Wait() here turns that bug into a clean barrier.
@@ -276,88 +214,6 @@ void ParallelFor(index_t begin, index_t end, index_t grain,
     group.Run([&body, b, e] { body(b, e); });
   }
   group.Wait();
-}
-
-namespace {
-
-/// Fixed-order pairwise (tree) combine of the per-chunk partials. The
-/// order depends only on the partial count, i.e. only on (range, grain).
-real_t PairwiseCombine(std::vector<real_t>* partials,
-                       real_t (*combine)(real_t, real_t)) {
-  std::vector<real_t>& v = *partials;
-  BEPI_CHECK(!v.empty());
-  std::size_t n = v.size();
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      v[i] = combine(v[2 * i], v[2 * i + 1]);
-    }
-    if (n % 2 != 0) {
-      v[half] = v[n - 1];
-      n = half + 1;
-    } else {
-      n = half;
-    }
-  }
-  return v[0];
-}
-
-real_t Reduce(index_t begin, index_t end, index_t grain,
-              const std::function<real_t(index_t, index_t)>& chunk_fn,
-              real_t (*combine)(real_t, real_t)) {
-  if (begin >= end) return 0.0;
-  if (grain <= 0) grain = 1;
-  const index_t count = end - begin;
-  const index_t chunks = (count + grain - 1) / grain;
-  // One chunk: the left-to-right chunk sum IS the pairwise combine of a
-  // single partial, so the result is bit-identical and the scratch vector
-  // is skipped entirely. This keeps sub-grain reductions (the GMRES inner
-  // loop's Dot/Norm calls on short vectors) allocation-free.
-  if (chunks <= 1) return chunk_fn(begin, end);
-  // Per-thread scratch so steady-state multi-chunk reductions don't
-  // allocate either. A chunk_fn that itself reduces on this thread would
-  // clobber the buffer, so only the outermost call on a thread borrows it;
-  // nested calls fall back to a local vector.
-  static thread_local std::vector<real_t> t_scratch;
-  static thread_local bool t_scratch_in_use = false;
-  struct ScratchLease {
-    bool owned = false;
-    ~ScratchLease() {
-      if (owned) t_scratch_in_use = false;
-    }
-  } lease;
-  std::vector<real_t> local;
-  std::vector<real_t>* partials = &local;
-  if (!t_scratch_in_use) {
-    t_scratch_in_use = true;
-    lease.owned = true;
-    partials = &t_scratch;
-  }
-  partials->assign(static_cast<std::size_t>(chunks), 0.0);
-  ParallelFor(0, chunks, 1, [&](index_t cb, index_t ce) {
-    for (index_t c = cb; c < ce; ++c) {
-      const index_t b = begin + c * grain;
-      (*partials)[static_cast<std::size_t>(c)] =
-          chunk_fn(b, std::min(end, b + grain));
-    }
-  });
-  return PairwiseCombine(partials, combine);
-}
-
-}  // namespace
-
-real_t ParallelReduceSum(index_t begin, index_t end, index_t grain,
-                         const std::function<real_t(index_t, index_t)>&
-                             chunk_sum) {
-  return Reduce(begin, end, grain, chunk_sum,
-                [](real_t a, real_t b) { return a + b; });
-}
-
-real_t ParallelReduceMax(index_t begin, index_t end, index_t grain,
-                         const std::function<real_t(index_t, index_t)>&
-                             chunk_max) {
-  return Reduce(begin, end, grain, chunk_max,
-                [](real_t a, real_t b) { return a > b ? a : b; });
 }
 
 }  // namespace bepi

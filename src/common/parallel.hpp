@@ -1,28 +1,25 @@
-// Shared-memory parallel execution layer: a fixed-size work-stealing
-// ThreadPool owned by a process-global ParallelContext, plus the
-// ParallelFor / TaskGroup / deterministic-reduction primitives the kernels
-// in sparse/ and core/ are built on.
+// Shared-memory executor for independent work: a fixed-size ThreadPool
+// owned by a process-global ParallelContext, plus the ParallelFor /
+// TaskGroup primitives that BatchQueryEngine (one task per concurrency
+// slot) and the Monte-Carlo engine (one task per walk batch) run on.
 //
 // Design contract (see docs/ARCHITECTURE.md, "Parallelism"):
+//  * One query, one thread. The numeric kernels (SpMV, reductions,
+//    triangular solves, the block LU) never touch the pool: a query runs
+//    entirely on the thread that calls it. Parallelism is across
+//    independent queries and walk batches only, where it has measured a
+//    gain.
 //  * The pool is sized once at startup — from --threads, BEPI_THREADS, or
 //    std::thread::hardware_concurrency() — and `1` means *no pool at all*:
-//    every primitive below degrades to a plain serial loop with zero
-//    thread-pool involvement, so single-threaded behavior is exactly the
-//    pre-parallel behavior.
-//  * Results are bit-identical across thread counts. Reductions chunk the
-//    index range by a fixed grain (never by the number of workers) and
-//    combine the per-chunk partials in a fixed pairwise order; row-
-//    partitioned SpMV keeps each output row's accumulation order intact.
+//    every primitive below degrades to a plain serial loop.
 //  * Nested parallelism runs inline: a task already executing on a pool
-//    worker that calls ParallelFor/TaskGroup gets the serial path. This
-//    makes the primitives safe to use inside BatchQueryEngine tasks
-//    without deadlock or oversubscription.
+//    worker that calls ParallelFor/TaskGroup gets the serial path (a batch
+//    query that falls through to the MC stage reaches ParallelFor from
+//    inside a worker).
 //  * Fork-safe: a child forked from a process with a pool inherits none of
 //    its worker threads, so the child starts with no pool (serial, as with
 //    one thread) and never joins or signals the workers it did not get.
-//  * Telemetry: the pool bumps `parallel.tasks` per executed task and
-//    `parallel.steal` per successful steal, and wraps every task in a
-//    `parallel.task` TraceSpan so --trace-out shows the actual schedule.
+//  * Telemetry: the pool bumps `parallel.tasks` per executed task.
 #ifndef BEPI_COMMON_PARALLEL_HPP_
 #define BEPI_COMMON_PARALLEL_HPP_
 
@@ -44,10 +41,9 @@ namespace bepi {
 /// std::thread::hardware_concurrency() clamped to at least 1.
 int HardwareThreads();
 
-/// Fixed-size work-stealing thread pool. Each worker owns a deque; Submit
-/// distributes round-robin, owners pop LIFO from the back, idle workers
-/// steal FIFO from the front of a victim's deque. Tasks must not block on
-/// other tasks (TaskGroup::Wait from a worker runs work inline instead).
+/// Fixed-size thread pool over one mutex-guarded FIFO queue. Tasks must
+/// not block on other tasks (TaskGroup::Run from a worker runs inline
+/// instead).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -67,21 +63,13 @@ class ThreadPool {
   static bool OnWorkerThread();
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(std::size_t self);
-  bool TryPop(std::size_t self, std::function<void()>* task);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> threads_;
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<std::uint64_t> next_queue_{0};
-  std::atomic<std::int64_t> queued_{0};
-  std::atomic<bool> shutdown_{false};
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;
+  bool shutdown_ = false;
 };
 
 /// Process-global owner of the (single) ThreadPool. Thread count is
@@ -125,10 +113,8 @@ class ParallelContext {
 /// exception. Reusable after Wait().
 class TaskGroup {
  public:
-  /// `pool` may be null (every Run executes inline). Defaults to the
-  /// global context's pool.
+  /// `pool` may be null (every Run executes inline).
   explicit TaskGroup(ThreadPool* pool);
-  TaskGroup();
   ~TaskGroup();
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
@@ -146,27 +132,11 @@ class TaskGroup {
 };
 
 /// Runs body(chunk_begin, chunk_end) over [begin, end) split into chunks
-/// of at most `grain` elements (grain <= 0 is treated as 1). Chunk
-/// boundaries depend only on the range and the grain — never on the
-/// thread count — so grain-dependent computations are reproducible.
-/// Serial (in-order) when the pool is null, on a worker thread, or when
-/// there is only one chunk. Exceptions from `body` propagate.
+/// of at most `grain` elements (grain <= 0 is treated as 1), one pool task
+/// per chunk. Serial (in-order) when the pool is null, on a worker thread,
+/// or when there is only one chunk. Exceptions from `body` propagate.
 void ParallelFor(index_t begin, index_t end, index_t grain,
                  const std::function<void(index_t, index_t)>& body);
-
-/// Deterministic parallel sum: partials are computed per fixed-grain chunk
-/// and combined by fixed-order pairwise (tree) summation, so the result is
-/// bit-identical for any thread count — including 1, which runs the same
-/// chunked summation serially.
-real_t ParallelReduceSum(index_t begin, index_t end, index_t grain,
-                         const std::function<real_t(index_t, index_t)>&
-                             chunk_sum);
-
-/// Max-reduction with the same chunking (max is order-insensitive, but the
-/// shared shape keeps all reductions on one code path).
-real_t ParallelReduceMax(index_t begin, index_t end, index_t grain,
-                         const std::function<real_t(index_t, index_t)>&
-                             chunk_max);
 
 namespace internal {
 

@@ -4,9 +4,9 @@
 // Each concurrency slot owns one GmresWorkspace, so a steady-state batch
 // loop performs no per-query heap allocation beyond the returned vectors.
 // Queries are read-only over the preprocessed model and fully independent,
-// which makes the parallelization embarrassingly simple — and because the
-// numeric kernels are bit-identical at any thread count, a batch produces
-// exactly the vectors a sequential loop over the same seeds would.
+// which makes the parallelization embarrassingly simple — and because each
+// query runs on one thread with the same arithmetic either way, a batch
+// produces exactly the vectors a sequential loop over the same seeds would.
 #ifndef BEPI_CORE_BATCH_HPP_
 #define BEPI_CORE_BATCH_HPP_
 

@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "core/checkpoint.hpp"
@@ -511,111 +510,43 @@ Result<HubSpokeDecomposition> BuildDecomposition(
     block_start += dec.block_sizes[b];
   }
   Timer since_factor_ckpt;
-  // Each diagonal block factors independently, so blocks are farmed to the
-  // thread pool in bounded batches; the COO staging buffers are then
-  // appended serially in block order between batches. That keeps the
-  // factor checkpoint's prefix-count semantics (blocks_done whole blocks,
-  // in order) and the checkpoint bytes identical to a serial run, while
-  // bounding the extra memory to one batch of dense inverses. Without a
-  // pool the batch size is 1 — exactly the old one-block-at-a-time loop.
-  struct BlockFactors {
-    DenseMatrix l_inv{0, 0};
-    DenseMatrix u_inv{0, 0};
-    Status status = Status::Ok();
-  };
-  ThreadPool* pool = ParallelContext::Global().pool();
-  const std::size_t max_batch_blocks =
-      pool == nullptr ? 1 : 4 * static_cast<std::size_t>(pool->size());
-  // A whole batch of dense factors is alive at once (working copy plus
-  // L^{-1}/U^{-1}, each size^2 doubles per block), so batches are also
-  // capped by bytes: the memory budget's remaining headroom when one is
-  // set, a fixed default otherwise. A single block always proceeds — that
-  // matches the serial baseline's peak.
-  constexpr std::uint64_t kDefaultBatchBytes = 256ull << 20;
-  std::uint64_t batch_byte_cap = kDefaultBatchBytes;
-  if (budget != nullptr && !budget->unlimited()) {
-    const std::uint64_t headroom =
-        budget->budget_bytes() > budget->used_bytes()
-            ? budget->budget_bytes() - budget->used_bytes()
-            : 0;
-    batch_byte_cap = std::min(kDefaultBatchBytes, headroom);
-  }
-  const auto block_transient_bytes = [&dec](std::size_t b) {
-    const std::uint64_t s = static_cast<std::uint64_t>(dec.block_sizes[b]);
-    return 3 * s * s * static_cast<std::uint64_t>(sizeof(real_t));
-  };
-  std::vector<index_t> block_starts(num_blocks, 0);
-  {
-    index_t start = 0;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      block_starts[b] = start;
-      start += dec.block_sizes[b];
-    }
-  }
-  for (std::size_t batch_begin = blocks_resumed; batch_begin < num_blocks;) {
-    std::size_t batch_end = batch_begin + 1;
-    std::uint64_t batch_bytes = block_transient_bytes(batch_begin);
-    while (batch_end < num_blocks &&
-           batch_end - batch_begin < max_batch_blocks &&
-           batch_bytes + block_transient_bytes(batch_end) <= batch_byte_cap) {
-      batch_bytes += block_transient_bytes(batch_end);
-      ++batch_end;
-    }
-    std::vector<BlockFactors> factors(batch_end - batch_begin);
-    ParallelFor(
-        static_cast<index_t>(batch_begin), static_cast<index_t>(batch_end), 1,
-        [&](index_t bb, index_t be) {
-          for (index_t b = bb; b < be; ++b) {
-            BlockFactors& out =
-                factors[static_cast<std::size_t>(b) - batch_begin];
-            out.status = [&]() -> Status {
-              const index_t start =
-                  block_starts[static_cast<std::size_t>(b)];
-              const index_t size = dec.block_sizes[static_cast<std::size_t>(b)];
-              BEPI_ASSIGN_OR_RETURN(
-                  CsrMatrix block_csr,
-                  ExtractBlock(dec.h11, start, start + size, start,
-                               start + size));
-              DenseMatrix block = block_csr.ToDense();
-              BEPI_RETURN_IF_ERROR(FactorNoPivot(&block));
-              BEPI_ASSIGN_OR_RETURN(
-                  out.l_inv,
-                  InvertLowerTriangular(block, /*unit_diagonal=*/true));
-              BEPI_ASSIGN_OR_RETURN(out.u_inv, InvertUpperTriangular(block));
-              return Status::Ok();
-            }();
-          }
-        });
-    for (std::size_t b = batch_begin; b < batch_end; ++b) {
-      const BlockFactors& f = factors[b - batch_begin];
-      BEPI_RETURN_IF_ERROR(f.status);
-      const index_t size = dec.block_sizes[b];
-      BEPI_CHECK(block_start == block_starts[b]);
-      for (index_t i = 0; i < size; ++i) {
-        for (index_t j = 0; j <= i; ++j) {
-          const real_t lv = i == j ? 1.0 : f.l_inv.At(i, j);
-          if (lv != 0.0) l1_coo.Add(block_start + i, block_start + j, lv);
-          const real_t uv = f.u_inv.At(j, i);
-          if (uv != 0.0) u1_coo.Add(block_start + j, block_start + i, uv);
-        }
+  // One block at a time, appended in block order: the factor checkpoint
+  // records a prefix count of whole blocks, and only one block's dense
+  // factors are alive at once.
+  for (std::size_t b = blocks_resumed; b < num_blocks; ++b) {
+    const index_t size = dec.block_sizes[b];
+    BEPI_ASSIGN_OR_RETURN(
+        CsrMatrix block_csr,
+        ExtractBlock(dec.h11, block_start, block_start + size, block_start,
+                     block_start + size));
+    DenseMatrix block = block_csr.ToDense();
+    BEPI_RETURN_IF_ERROR(FactorNoPivot(&block));
+    BEPI_ASSIGN_OR_RETURN(DenseMatrix l_inv,
+                          InvertLowerTriangular(block, /*unit_diagonal=*/true));
+    BEPI_ASSIGN_OR_RETURN(DenseMatrix u_inv, InvertUpperTriangular(block));
+    for (index_t i = 0; i < size; ++i) {
+      for (index_t j = 0; j <= i; ++j) {
+        const real_t lv = i == j ? 1.0 : l_inv.At(i, j);
+        if (lv != 0.0) l1_coo.Add(block_start + i, block_start + j, lv);
+        const real_t uv = u_inv.At(j, i);
+        if (uv != 0.0) u1_coo.Add(block_start + j, block_start + i, uv);
       }
-      block_start += size;
-      ++blocks_done;
-      // Cancellation commits the factor progress made so far (interval
-      // ignored) before aborting, so the resumed run continues from block
-      // blocks_done instead of the last interval snapshot.
-      const bool cancel_now = cancelled();
-      if (checkpoints != nullptr && blocks_done < num_blocks &&
-          (cancel_now || since_factor_ckpt.Seconds() >=
-                             options.checkpoint_interval_seconds)) {
-        WarnOnCheckpointFailure(
-            WriteFactorCheckpoint(checkpoints, blocks_done, l1_coo, u1_coo),
-            kStageFactor);
-        since_factor_ckpt.Restart();
-      }
-      if (cancel_now) return cancel_status("factor");
     }
-    batch_begin = batch_end;
+    block_start += size;
+    ++blocks_done;
+    // Cancellation commits the factor progress made so far (interval
+    // ignored) before aborting, so the resumed run continues from block
+    // blocks_done instead of the last interval snapshot.
+    const bool cancel_now = cancelled();
+    if (checkpoints != nullptr && blocks_done < num_blocks &&
+        (cancel_now || since_factor_ckpt.Seconds() >=
+                           options.checkpoint_interval_seconds)) {
+      WarnOnCheckpointFailure(
+          WriteFactorCheckpoint(checkpoints, blocks_done, l1_coo, u1_coo),
+          kStageFactor);
+      since_factor_ckpt.Restart();
+    }
+    if (cancel_now) return cancel_status("factor");
   }
   BEPI_CHECK(block_start == dec.n1);
   BEPI_ASSIGN_OR_RETURN(dec.l1_inv, l1_coo.ToCsr());

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include <functional>
-
 #include "common/check.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "sparse/csc.hpp"
 #include "sparse/kernel.hpp"
 
@@ -23,47 +20,6 @@ inline void CountSpmv(index_t nnz) {
   BEPI_METRIC_COUNTER(spmv_flops, "spmv.flops");
   spmv_calls->Increment();
   spmv_flops->Increment(2 * static_cast<std::uint64_t>(nnz));
-}
-
-/// Matrices below this many non-zeros are not worth farming out.
-constexpr index_t kSpmvGrainNnz = 16384;
-
-/// Runs rows_fn over row ranges with nnz-balanced static chunking: chunk
-/// boundaries are the rows closest to equal shares of the non-zeros
-/// (binary search on row_ptr), so one hub row with a million entries does
-/// not serialize the whole product. Row-partitioned SpMV is bit-identical
-/// at any thread count — each output row keeps its in-row accumulation
-/// order — so this needs no determinism machinery beyond row ownership.
-/// Serial when the pool is off, we are already on a pool worker (nested),
-/// or the matrix is small.
-void ParallelOverRows(const std::vector<index_t>& row_ptr, index_t rows,
-                      index_t nnz,
-                      const std::function<void(index_t, index_t)>& rows_fn) {
-  ThreadPool* pool = ParallelContext::Global().pool();
-  if (pool == nullptr || ThreadPool::OnWorkerThread() || rows < 2 ||
-      nnz < 2 * kSpmvGrainNnz) {
-    rows_fn(0, rows);
-    return;
-  }
-  const index_t chunks =
-      std::min<index_t>(static_cast<index_t>(4 * pool->size()),
-                        std::max<index_t>(1, nnz / kSpmvGrainNnz));
-  TaskGroup group(pool);
-  index_t row = 0;
-  for (index_t c = 1; c <= chunks && row < rows; ++c) {
-    index_t row_end = rows;
-    if (c < chunks) {
-      const index_t target = nnz / chunks * c;
-      row_end = static_cast<index_t>(
-          std::lower_bound(row_ptr.begin() + row, row_ptr.end(), target) -
-          row_ptr.begin());
-      row_end = std::min(std::max(row_end, row + 1), rows);
-    }
-    const index_t b = row, e = row_end;
-    group.Run([&rows_fn, b, e] { rows_fn(b, e); });
-    row = row_end;
-  }
-  group.Wait();
 }
 
 }  // namespace
@@ -150,34 +106,30 @@ void CsrMatrix::MultiplyInto(const Vector& x, Vector* out) const {
   CountSpmv(nnz());
   out->resize(static_cast<std::size_t>(rows_));
   Vector& y = *out;
-  ParallelOverRows(row_ptr_, rows_, nnz(), [&](index_t rb, index_t re) {
-    for (index_t r = rb; r < re; ++r) {
-      real_t sum = 0.0;
-      for (index_t p = row_ptr_[static_cast<std::size_t>(r)];
-           p < row_ptr_[static_cast<std::size_t>(r) + 1]; ++p) {
-        sum += values_[static_cast<std::size_t>(p)] *
-               x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(p)])];
-      }
-      y[static_cast<std::size_t>(r)] = sum;
+  for (index_t r = 0; r < rows_; ++r) {
+    real_t sum = 0.0;
+    for (index_t p = row_ptr_[static_cast<std::size_t>(r)];
+         p < row_ptr_[static_cast<std::size_t>(r) + 1]; ++p) {
+      sum += values_[static_cast<std::size_t>(p)] *
+             x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(p)])];
     }
-  });
+    y[static_cast<std::size_t>(r)] = sum;
+  }
 }
 
 void CsrMatrix::MultiplyAdd(real_t alpha, const Vector& x, Vector* y) const {
   BEPI_CHECK(static_cast<index_t>(x.size()) == cols_);
   BEPI_CHECK(static_cast<index_t>(y->size()) == rows_);
   CountSpmv(nnz());
-  ParallelOverRows(row_ptr_, rows_, nnz(), [&](index_t rb, index_t re) {
-    for (index_t r = rb; r < re; ++r) {
-      real_t sum = 0.0;
-      for (index_t p = row_ptr_[static_cast<std::size_t>(r)];
-           p < row_ptr_[static_cast<std::size_t>(r) + 1]; ++p) {
-        sum += values_[static_cast<std::size_t>(p)] *
-               x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(p)])];
-      }
-      (*y)[static_cast<std::size_t>(r)] += alpha * sum;
+  for (index_t r = 0; r < rows_; ++r) {
+    real_t sum = 0.0;
+    for (index_t p = row_ptr_[static_cast<std::size_t>(r)];
+         p < row_ptr_[static_cast<std::size_t>(r) + 1]; ++p) {
+      sum += values_[static_cast<std::size_t>(p)] *
+             x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(p)])];
     }
-  });
+    (*y)[static_cast<std::size_t>(r)] += alpha * sum;
+  }
 }
 
 void CsrMatrix::ResidualInto(const Vector& x, const Vector& b,

@@ -63,7 +63,7 @@ class CsrMatrix {
   void ResidualInto(const Vector& x, const Vector& b, Vector* y) const;
 
   /// Fused y = A x returning dot(y, d); bitwise equal to MultiplyInto
-  /// followed by Dot, at any thread count (see sparse/kernel.hpp).
+  /// followed by Dot (see sparse/kernel.hpp).
   real_t MultiplyDot(const Vector& x, const Vector& d, Vector* y) const;
 
   /// y = A^T x (computed row-wise without forming the transpose).

@@ -1,29 +1,16 @@
 #include "sparse/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 
 namespace bepi {
-namespace {
-
-// Fixed elementwise grain (elements per chunk). Like kReduceGrain (now in
-// dense.hpp, shared with the fused kernels), it is a constant — never
-// derived from the thread count — so chunk boundaries, and therefore the
-// pairwise summation order, are identical at any --threads setting (the
-// bit-identical-across-thread-counts contract in common/parallel.hpp).
-// Vectors at or below one grain take exactly one chunk, i.e. the plain
-// left-to-right loop.
-constexpr index_t kElementwiseGrain = 16384;
-
-}  // namespace
 
 real_t Dot(const Vector& x, const Vector& y) {
   BEPI_CHECK(x.size() == y.size());
-  return ParallelReduceSum(
-      0, static_cast<index_t>(x.size()), kReduceGrain,
-      [&](index_t b, index_t e) {
+  return ChunkedPairwiseSum(
+      static_cast<index_t>(x.size()), [&](index_t b, index_t e) {
         real_t sum = 0.0;
         for (index_t i = b; i < e; ++i) {
           sum += x[static_cast<std::size_t>(i)] * y[static_cast<std::size_t>(i)];
@@ -35,53 +22,35 @@ real_t Dot(const Vector& x, const Vector& y) {
 real_t Norm2(const Vector& x) { return std::sqrt(Dot(x, x)); }
 
 real_t Norm1(const Vector& x) {
-  return ParallelReduceSum(0, static_cast<index_t>(x.size()), kReduceGrain,
-                           [&](index_t b, index_t e) {
-                             real_t sum = 0.0;
-                             for (index_t i = b; i < e; ++i) {
-                               sum += std::fabs(x[static_cast<std::size_t>(i)]);
-                             }
-                             return sum;
-                           });
+  return ChunkedPairwiseSum(
+      static_cast<index_t>(x.size()), [&](index_t b, index_t e) {
+        real_t sum = 0.0;
+        for (index_t i = b; i < e; ++i) {
+          sum += std::fabs(x[static_cast<std::size_t>(i)]);
+        }
+        return sum;
+      });
 }
 
 real_t NormInf(const Vector& x) {
-  return ParallelReduceMax(0, static_cast<index_t>(x.size()), kReduceGrain,
-                           [&](index_t b, index_t e) {
-                             real_t best = 0.0;
-                             for (index_t i = b; i < e; ++i) {
-                               best = std::max(
-                                   best, std::fabs(x[static_cast<std::size_t>(i)]));
-                             }
-                             return best;
-                           });
+  real_t best = 0.0;
+  for (real_t v : x) best = std::max(best, std::fabs(v));
+  return best;
 }
 
 void Axpy(real_t alpha, const Vector& x, Vector* y) {
   BEPI_CHECK(x.size() == y->size());
-  ParallelFor(0, static_cast<index_t>(x.size()), kElementwiseGrain,
-              [&](index_t b, index_t e) {
-                for (index_t i = b; i < e; ++i) {
-                  (*y)[static_cast<std::size_t>(i)] +=
-                      alpha * x[static_cast<std::size_t>(i)];
-                }
-              });
+  for (std::size_t i = 0; i < x.size(); ++i) (*y)[i] += alpha * x[i];
 }
 
 void Scale(real_t alpha, Vector* x) {
-  ParallelFor(0, static_cast<index_t>(x->size()), kElementwiseGrain,
-              [&](index_t b, index_t e) {
-                for (index_t i = b; i < e; ++i) {
-                  (*x)[static_cast<std::size_t>(i)] *= alpha;
-                }
-              });
+  for (real_t& v : *x) v *= alpha;
 }
 
 real_t DistL2(const Vector& x, const Vector& y) {
   BEPI_CHECK(x.size() == y.size());
-  const real_t sum = ParallelReduceSum(
-      0, static_cast<index_t>(x.size()), kReduceGrain,
-      [&](index_t b, index_t e) {
+  const real_t sum = ChunkedPairwiseSum(
+      static_cast<index_t>(x.size()), [&](index_t b, index_t e) {
         real_t s = 0.0;
         for (index_t i = b; i < e; ++i) {
           const real_t d = x[static_cast<std::size_t>(i)] -

@@ -14,11 +14,37 @@ namespace bepi {
 /// Dense column vector.
 using Vector = std::vector<real_t>;
 
-/// Fixed chunk grain of every deterministic vector reduction (Dot/Norm*).
+/// Fixed chunk grain of every vector sum (Dot/Norm1/Norm2/DistL2).
 /// Exposed so fused kernels (sparse/kernel.hpp) can chunk their embedded
 /// dot reductions identically and stay bit-identical to the unfused
-/// Apply-then-Dot sequence at any thread count.
+/// Apply-then-Dot sequence.
 constexpr index_t kReduceGrain = 4096;
+
+/// Sums chunk_sum(b, e) over [0, n) cut into kReduceGrain-sized chunks,
+/// then combines the chunk sums pairwise in a fixed order: adjacent pairs
+/// level by level, an odd last sum carried up unchanged. That tree is the
+/// one whose nodes are the aligned power-of-two runs of chunks, so a
+/// binary-counter stack builds it in one pass without storing every chunk
+/// sum: a run is merged as soon as its sibling is complete, and the
+/// leftover runs (one per set bit of the chunk count) are merged right to
+/// left at the end. A range of one chunk is the plain left-to-right loop.
+template <typename ChunkSum>
+real_t ChunkedPairwiseSum(index_t n, const ChunkSum& chunk_sum) {
+  if (n <= kReduceGrain) return n > 0 ? chunk_sum(0, n) : 0.0;
+  real_t runs[64];
+  int depth = 0;
+  index_t chunks = 0;
+  for (index_t b = 0; b < n; b += kReduceGrain) {
+    runs[depth++] = chunk_sum(b, n - b < kReduceGrain ? n : b + kReduceGrain);
+    for (index_t done = ++chunks; (done & 1) == 0; done >>= 1) {
+      --depth;
+      runs[depth - 1] += runs[depth];
+    }
+  }
+  real_t sum = runs[--depth];
+  while (depth > 0) sum = runs[--depth] + sum;
+  return sum;
+}
 
 /// Euclidean dot product. x and y must have the same size.
 real_t Dot(const Vector& x, const Vector& y);

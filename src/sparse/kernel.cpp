@@ -7,7 +7,6 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 
 namespace bepi {
 namespace {
@@ -95,44 +94,6 @@ inline void CountSpmm(index_t rows, index_t cols, index_t nnz, index_t k,
 /// the per-column accumulation order, so it is invisible to results.
 constexpr index_t kSpmmColChunk = 16;
 
-/// Matrices below this many non-zeros are not worth farming out (matches
-/// the CsrMatrix SpMV threshold so wide/compact parallelize alike).
-constexpr index_t kSpmvGrainNnz = 16384;
-
-/// nnz-balanced row partitioning, generic over the row-pointer width; the
-/// same scheme as csr.cpp's ParallelOverRows. Row-partitioned SpMV is
-/// bit-identical at any thread count because each output row keeps its
-/// in-row accumulation order.
-template <typename P, typename Fn>
-void ParallelOverRowsT(const P* row_ptr, index_t rows, index_t nnz,
-                       const Fn& rows_fn) {
-  ThreadPool* pool = ParallelContext::Global().pool();
-  if (pool == nullptr || ThreadPool::OnWorkerThread() || rows < 2 ||
-      nnz < 2 * kSpmvGrainNnz) {
-    rows_fn(0, rows);
-    return;
-  }
-  const index_t chunks =
-      std::min<index_t>(static_cast<index_t>(4 * pool->size()),
-                        std::max<index_t>(1, nnz / kSpmvGrainNnz));
-  TaskGroup group(pool);
-  index_t row = 0;
-  for (index_t c = 1; c <= chunks && row < rows; ++c) {
-    index_t row_end = rows;
-    if (c < chunks) {
-      const P target = static_cast<P>(nnz / chunks * c);
-      row_end = static_cast<index_t>(
-          std::lower_bound(row_ptr + row, row_ptr + rows + 1, target) -
-          row_ptr);
-      row_end = std::min(std::max(row_end, row + 1), rows);
-    }
-    const index_t b = row, e = row_end;
-    group.Run([&rows_fn, b, e] { rows_fn(b, e); });
-    row = row_end;
-  }
-  group.Wait();
-}
-
 /// The shared inner row loop: one dot product per output row. Templated
 /// over the index width so the compact and wide paths compile to the same
 /// instruction sequence modulo load width — and therefore produce
@@ -150,57 +111,45 @@ inline real_t RowDot(const P* row_ptr, const I* col_idx, const real_t* values,
 
 template <typename P, typename I>
 void SpmvInto(const P* row_ptr, const I* col_idx, const real_t* values,
-              index_t rows, index_t nnz, const real_t* x, real_t* y) {
-  ParallelOverRowsT(row_ptr, rows, nnz, [&](index_t rb, index_t re) {
-    for (index_t r = rb; r < re; ++r) {
-      y[static_cast<std::size_t>(r)] = RowDot(row_ptr, col_idx, values, x, r);
-    }
-  });
+              index_t rows, const real_t* x, real_t* y) {
+  for (index_t r = 0; r < rows; ++r) {
+    y[static_cast<std::size_t>(r)] = RowDot(row_ptr, col_idx, values, x, r);
+  }
 }
 
 template <typename P, typename I>
 void SpmvAdd(const P* row_ptr, const I* col_idx, const real_t* values,
-             index_t rows, index_t nnz, real_t alpha, const real_t* x,
-             real_t* y) {
-  ParallelOverRowsT(row_ptr, rows, nnz, [&](index_t rb, index_t re) {
-    for (index_t r = rb; r < re; ++r) {
-      y[static_cast<std::size_t>(r)] +=
-          alpha * RowDot(row_ptr, col_idx, values, x, r);
-    }
-  });
+             index_t rows, real_t alpha, const real_t* x, real_t* y) {
+  for (index_t r = 0; r < rows; ++r) {
+    y[static_cast<std::size_t>(r)] +=
+        alpha * RowDot(row_ptr, col_idx, values, x, r);
+  }
 }
 
 template <typename P, typename I>
 void SpmvResidual(const P* row_ptr, const I* col_idx, const real_t* values,
-                  index_t rows, index_t nnz, const real_t* x, const real_t* b,
-                  real_t* y) {
-  ParallelOverRowsT(row_ptr, rows, nnz, [&](index_t rb, index_t re) {
-    for (index_t r = rb; r < re; ++r) {
-      y[static_cast<std::size_t>(r)] =
-          b[static_cast<std::size_t>(r)] -
-          RowDot(row_ptr, col_idx, values, x, r);
-    }
-  });
+                  index_t rows, const real_t* x, const real_t* b, real_t* y) {
+  for (index_t r = 0; r < rows; ++r) {
+    y[static_cast<std::size_t>(r)] =
+        b[static_cast<std::size_t>(r)] - RowDot(row_ptr, col_idx, values, x, r);
+  }
 }
 
-/// SpMV with an embedded dot against `d`. Chunked by kReduceGrain over the
-/// row range — the very chunking Dot uses over the element range — and
-/// combined by ParallelReduceSum's fixed pairwise order, so the result is
-/// bitwise the unfused SpMV-then-Dot value.
+/// SpMV with an embedded dot against `d`. ChunkedPairwiseSum over the row
+/// range is the very chunking and combine order Dot uses over the element
+/// range, so the result is bitwise the unfused SpMV-then-Dot value.
 template <typename P, typename I>
 real_t SpmvDot(const P* row_ptr, const I* col_idx, const real_t* values,
                index_t rows, const real_t* x, const real_t* d, real_t* y) {
-  return ParallelReduceSum(0, rows, kReduceGrain,
-                           [&](index_t rb, index_t re) {
-                             real_t partial = 0.0;
-                             for (index_t r = rb; r < re; ++r) {
-                               const real_t yr =
-                                   RowDot(row_ptr, col_idx, values, x, r);
-                               y[static_cast<std::size_t>(r)] = yr;
-                               partial += yr * d[static_cast<std::size_t>(r)];
-                             }
-                             return partial;
-                           });
+  return ChunkedPairwiseSum(rows, [&](index_t rb, index_t re) {
+    real_t partial = 0.0;
+    for (index_t r = rb; r < re; ++r) {
+      const real_t yr = RowDot(row_ptr, col_idx, values, x, r);
+      y[static_cast<std::size_t>(r)] = yr;
+      partial += yr * d[static_cast<std::size_t>(r)];
+    }
+    return partial;
+  });
 }
 
 /// Row-major panel SpMM: for each row, each column j of the chunk keeps
@@ -209,56 +158,51 @@ real_t SpmvDot(const P* row_ptr, const I* col_idx, const real_t* values,
 /// before the single store (SpmmInto) or fused alpha-add (SpmmAdd).
 template <typename P, typename I>
 void SpmmInto(const P* row_ptr, const I* col_idx, const real_t* values,
-              index_t rows, index_t nnz, const real_t* x, index_t k,
-              real_t* y) {
-  ParallelOverRowsT(row_ptr, rows, nnz, [&](index_t rb, index_t re) {
-    real_t acc[kSpmmColChunk];
-    for (index_t r = rb; r < re; ++r) {
-      real_t* yr = y + static_cast<std::size_t>(r) * static_cast<std::size_t>(k);
-      const std::size_t p0 = static_cast<std::size_t>(row_ptr[r]);
-      const std::size_t p1 = static_cast<std::size_t>(row_ptr[r + 1]);
-      for (index_t jb = 0; jb < k; jb += kSpmmColChunk) {
-        const index_t jw = std::min<index_t>(kSpmmColChunk, k - jb);
-        for (index_t j = 0; j < jw; ++j) acc[j] = 0.0;
-        for (std::size_t p = p0; p < p1; ++p) {
-          const real_t v = values[p];
-          const real_t* xc = x +
-                             static_cast<std::size_t>(col_idx[p]) *
-                                 static_cast<std::size_t>(k) +
-                             static_cast<std::size_t>(jb);
-          for (index_t j = 0; j < jw; ++j) acc[j] += v * xc[j];
-        }
-        for (index_t j = 0; j < jw; ++j) yr[jb + j] = acc[j];
+              index_t rows, const real_t* x, index_t k, real_t* y) {
+  real_t acc[kSpmmColChunk];
+  for (index_t r = 0; r < rows; ++r) {
+    real_t* yr = y + static_cast<std::size_t>(r) * static_cast<std::size_t>(k);
+    const std::size_t p0 = static_cast<std::size_t>(row_ptr[r]);
+    const std::size_t p1 = static_cast<std::size_t>(row_ptr[r + 1]);
+    for (index_t jb = 0; jb < k; jb += kSpmmColChunk) {
+      const index_t jw = std::min<index_t>(kSpmmColChunk, k - jb);
+      for (index_t j = 0; j < jw; ++j) acc[j] = 0.0;
+      for (std::size_t p = p0; p < p1; ++p) {
+        const real_t v = values[p];
+        const real_t* xc = x +
+                           static_cast<std::size_t>(col_idx[p]) *
+                               static_cast<std::size_t>(k) +
+                           static_cast<std::size_t>(jb);
+        for (index_t j = 0; j < jw; ++j) acc[j] += v * xc[j];
       }
+      for (index_t j = 0; j < jw; ++j) yr[jb + j] = acc[j];
     }
-  });
+  }
 }
 
 template <typename P, typename I>
 void SpmmAdd(const P* row_ptr, const I* col_idx, const real_t* values,
-             index_t rows, index_t nnz, real_t alpha, const real_t* x,
-             index_t k, real_t* y) {
-  ParallelOverRowsT(row_ptr, rows, nnz, [&](index_t rb, index_t re) {
-    real_t acc[kSpmmColChunk];
-    for (index_t r = rb; r < re; ++r) {
-      real_t* yr = y + static_cast<std::size_t>(r) * static_cast<std::size_t>(k);
-      const std::size_t p0 = static_cast<std::size_t>(row_ptr[r]);
-      const std::size_t p1 = static_cast<std::size_t>(row_ptr[r + 1]);
-      for (index_t jb = 0; jb < k; jb += kSpmmColChunk) {
-        const index_t jw = std::min<index_t>(kSpmmColChunk, k - jb);
-        for (index_t j = 0; j < jw; ++j) acc[j] = 0.0;
-        for (std::size_t p = p0; p < p1; ++p) {
-          const real_t v = values[p];
-          const real_t* xc = x +
-                             static_cast<std::size_t>(col_idx[p]) *
-                                 static_cast<std::size_t>(k) +
-                             static_cast<std::size_t>(jb);
-          for (index_t j = 0; j < jw; ++j) acc[j] += v * xc[j];
-        }
-        for (index_t j = 0; j < jw; ++j) yr[jb + j] += alpha * acc[j];
+             index_t rows, real_t alpha, const real_t* x, index_t k,
+             real_t* y) {
+  real_t acc[kSpmmColChunk];
+  for (index_t r = 0; r < rows; ++r) {
+    real_t* yr = y + static_cast<std::size_t>(r) * static_cast<std::size_t>(k);
+    const std::size_t p0 = static_cast<std::size_t>(row_ptr[r]);
+    const std::size_t p1 = static_cast<std::size_t>(row_ptr[r + 1]);
+    for (index_t jb = 0; jb < k; jb += kSpmmColChunk) {
+      const index_t jw = std::min<index_t>(kSpmmColChunk, k - jb);
+      for (index_t j = 0; j < jw; ++j) acc[j] = 0.0;
+      for (std::size_t p = p0; p < p1; ++p) {
+        const real_t v = values[p];
+        const real_t* xc = x +
+                           static_cast<std::size_t>(col_idx[p]) *
+                               static_cast<std::size_t>(k) +
+                           static_cast<std::size_t>(jb);
+        for (index_t j = 0; j < jw; ++j) acc[j] += v * xc[j];
       }
+      for (index_t j = 0; j < jw; ++j) yr[jb + j] += alpha * acc[j];
     }
-  });
+  }
 }
 
 std::atomic<KernelPath>& GlobalKernelPathStorage() {
@@ -344,11 +288,10 @@ void KernelCsr::MultiplyInto(const Vector& x, Vector* y) const {
   CountSpmvBytes(rows_, cols_, nnz_, compact_);
   y->resize(static_cast<std::size_t>(rows_));
   if (compact_) {
-    SpmvInto(row_ptr32_.data(), col_idx32_.data(), values_, rows_, nnz_,
-             x.data(), y->data());
-  } else {
-    SpmvInto(row_ptr64_, col_idx64_, values_, rows_, nnz_, x.data(),
+    SpmvInto(row_ptr32_.data(), col_idx32_.data(), values_, rows_, x.data(),
              y->data());
+  } else {
+    SpmvInto(row_ptr64_, col_idx64_, values_, rows_, x.data(), y->data());
   }
 }
 
@@ -358,11 +301,10 @@ void KernelCsr::MultiplyAdd(real_t alpha, const Vector& x, Vector* y) const {
   CountSpmv(nnz_);
   CountSpmvBytes(rows_, cols_, nnz_, compact_);
   if (compact_) {
-    SpmvAdd(row_ptr32_.data(), col_idx32_.data(), values_, rows_, nnz_, alpha,
+    SpmvAdd(row_ptr32_.data(), col_idx32_.data(), values_, rows_, alpha,
             x.data(), y->data());
   } else {
-    SpmvAdd(row_ptr64_, col_idx64_, values_, rows_, nnz_, alpha, x.data(),
-            y->data());
+    SpmvAdd(row_ptr64_, col_idx64_, values_, rows_, alpha, x.data(), y->data());
   }
 }
 
@@ -375,11 +317,11 @@ void KernelCsr::ResidualInto(const Vector& x, const Vector& b,
              static_cast<std::uint64_t>(rows_), /*vec_reads=*/2, compact_);
   y->resize(static_cast<std::size_t>(rows_));
   if (compact_) {
-    SpmvResidual(row_ptr32_.data(), col_idx32_.data(), values_, rows_, nnz_,
+    SpmvResidual(row_ptr32_.data(), col_idx32_.data(), values_, rows_,
                  x.data(), b.data(), y->data());
   } else {
-    SpmvResidual(row_ptr64_, col_idx64_, values_, rows_, nnz_, x.data(),
-                 b.data(), y->data());
+    SpmvResidual(row_ptr64_, col_idx64_, values_, rows_, x.data(), b.data(),
+                 y->data());
   }
 }
 
@@ -404,10 +346,9 @@ void KernelCsr::MultiplyMulti(const real_t* x, index_t k, real_t* y) const {
   BEPI_CHECK(k >= 1);
   CountSpmm(rows_, cols_, nnz_, k, compact_);
   if (compact_) {
-    SpmmInto(row_ptr32_.data(), col_idx32_.data(), values_, rows_, nnz_, x, k,
-             y);
+    SpmmInto(row_ptr32_.data(), col_idx32_.data(), values_, rows_, x, k, y);
   } else {
-    SpmmInto(row_ptr64_, col_idx64_, values_, rows_, nnz_, x, k, y);
+    SpmmInto(row_ptr64_, col_idx64_, values_, rows_, x, k, y);
   }
 }
 
@@ -416,10 +357,10 @@ void KernelCsr::MultiplyAddMulti(real_t alpha, const real_t* x, index_t k,
   BEPI_CHECK(k >= 1);
   CountSpmm(rows_, cols_, nnz_, k, compact_);
   if (compact_) {
-    SpmmAdd(row_ptr32_.data(), col_idx32_.data(), values_, rows_, nnz_, alpha,
-            x, k, y);
+    SpmmAdd(row_ptr32_.data(), col_idx32_.data(), values_, rows_, alpha, x, k,
+            y);
   } else {
-    SpmmAdd(row_ptr64_, col_idx64_, values_, rows_, nnz_, alpha, x, k, y);
+    SpmmAdd(row_ptr64_, col_idx64_, values_, rows_, alpha, x, k, y);
   }
 }
 

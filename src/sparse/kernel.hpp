@@ -16,7 +16,7 @@
 // pure bandwidth optimization and never changes results. The fused
 // ResidualInto / MultiplyDot kernels replicate the chunking of the unfused
 // sequences they replace (see kReduceGrain in sparse/dense.hpp), so fusing
-// is equally invisible to results, at any thread count.
+// is equally invisible to results.
 //
 // Path selection: resolved once per model against BEPI_KERNEL / --kernel
 // (kAuto picks compact whenever the matrices fit); see
@@ -94,7 +94,7 @@ class KernelCsr {
   /// orthogonalization coefficient without re-reading y. The embedded
   /// reduction chunks rows by kReduceGrain and combines partials exactly
   /// like Dot (sparse/dense.hpp), so the returned value is bitwise equal
-  /// to MultiplyInto followed by Dot, at any thread count.
+  /// to MultiplyInto followed by Dot.
   real_t MultiplyDot(const Vector& x, const Vector& d, Vector* y) const;
 
   /// SpMM over a row-major k-RHS panel: Y = A X, where `x` holds cols()
@@ -104,7 +104,7 @@ class KernelCsr {
   /// bandwidth-bound index/value traffic that a per-column SpMV loop pays
   /// k times. Each output column accumulates its per-row sum in exactly
   /// the order RowDot uses, so column j of the panel is bit-identical to
-  /// MultiplyInto run on column j alone, at any k and any thread count.
+  /// MultiplyInto run on column j alone, at any k.
   void MultiplyMulti(const real_t* x, index_t k, real_t* y) const;
 
   /// Panel form of MultiplyAdd: Y += alpha * A X. Per-column arithmetic

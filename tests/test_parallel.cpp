@@ -1,13 +1,15 @@
 // Parallel execution layer tests: ThreadPool/TaskGroup lifecycle (incl.
 // exception propagation and shutdown), ParallelFor coverage on adversarial
-// grains, the bit-identical determinism contract of the parallel kernels
-// (SpMV, reductions) at 1 vs 8 threads, BatchQueryEngine equivalence with
-// a sequential query loop, clean Status propagation when a fault fires
-// inside a worker task, and a forked child running serially.
+// grains, the "one query, one thread" contract (a query never enters the
+// pool; a batch does), the fixed summation order of the vector reductions,
+// BatchQueryEngine equivalence with a sequential query loop, clean Status
+// propagation when a fault fires inside a worker task, and a forked child
+// running serially.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -23,6 +25,7 @@
 #include "common/parallel.hpp"
 #include "core/batch.hpp"
 #include "core/bepi.hpp"
+#include "core/datasets.hpp"
 #include "solver/gmres.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
@@ -191,13 +194,95 @@ TEST_F(ParallelTest, SpmvBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(parallel_add, serial_add);
 }
 
-TEST_F(ParallelTest, PoolBumpsTaskAndStealCounters) {
+/// The level-by-level pairwise combine the vector sums are specified by:
+/// adjacent pairs summed, an odd last element carried up unchanged.
+real_t LevelByLevelPairwise(std::vector<real_t> v) {
+  std::size_t n = v.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    for (std::size_t i = 0; i < half; ++i) v[i] = v[2 * i] + v[2 * i + 1];
+    if (n % 2 != 0) v[half] = v[n - 1];
+    n = half + (n % 2);
+  }
+  return v[0];
+}
+
+TEST_F(ParallelTest, ChunkedPairwiseSumKeepsTheFixedCombineOrder) {
+  // Chunk counts 1..67 cover every carry pattern of the first six levels;
+  // the adversarial magnitudes make any change of association visible.
+  const Vector x = AdversarialVector(67 * kReduceGrain, 5);
+  for (index_t chunks = 1; chunks <= 67; ++chunks) {
+    for (index_t tail : {index_t{0}, index_t{1}, kReduceGrain - 1}) {
+      const index_t n = chunks * kReduceGrain - tail;
+      std::vector<real_t> partials;
+      for (index_t b = 0; b < n; b += kReduceGrain) {
+        real_t s = 0.0;
+        for (index_t i = b; i < std::min(n, b + kReduceGrain); ++i) {
+          s += x[static_cast<std::size_t>(i)];
+        }
+        partials.push_back(s);
+      }
+      const Vector prefix(x.begin(), x.begin() + n);
+      const Vector ones(static_cast<std::size_t>(n), 1.0);
+      EXPECT_EQ(Dot(prefix, ones), LevelByLevelPairwise(partials))
+          << "n = " << n;
+    }
+  }
+  EXPECT_EQ(Dot(Vector{}, Vector{}), 0.0);
+}
+
+TEST_F(ParallelTest, PoolBumpsTaskCounter) {
   SetMetricsEnabled(true);
   Counter* tasks = MetricsRegistry::Global().GetCounter("parallel.tasks");
   tasks->Reset();
   ASSERT_TRUE(ParallelContext::Global().SetNumThreads(4).ok());
   ParallelFor(0, 64, 1, [](index_t, index_t) {});
-  EXPECT_GT(tasks->value(), 0u);
+  EXPECT_EQ(tasks->value(), 64u);  // one task per chunk, none on the side
+  SetMetricsEnabled(false);
+}
+
+TEST_F(ParallelTest, QueriesRunOnTheCallingThreadAndBatchesUseThePool) {
+  // Slashdot-sim x4: its Schur complement is wider than one reduction
+  // chunk and has enough non-zeros that a row-split SpMV would fan out,
+  // so any pool use inside a query would show in parallel.tasks.
+  auto spec = FindDataset("Slashdot-sim");
+  ASSERT_TRUE(spec.ok());
+  const DatasetSpec sd4 = ScaleSpec(*spec, 4.0);
+  auto g = GenerateDataset(sd4);
+  ASSERT_TRUE(g.ok());
+  BepiSolver solver{BepiOptions{}};
+  ASSERT_TRUE(solver.Preprocess(*g).ok());
+  ASSERT_GT(solver.info().n2, kReduceGrain);
+
+  ASSERT_TRUE(ParallelContext::Global().SetNumThreads(4).ok());
+  SetMetricsEnabled(true);
+  Counter* tasks = MetricsRegistry::Global().GetCounter("parallel.tasks");
+  const std::vector<index_t> seeds{1, 17, 123, 4567};
+
+  tasks->Reset();
+  for (index_t seed : seeds) ASSERT_TRUE(solver.Query(seed).ok());
+  EXPECT_EQ(tasks->value(), 0u) << "Query";
+
+  tasks->Reset();
+  TopKOptions topk;
+  topk.k = 10;
+  for (index_t seed : seeds) ASSERT_TRUE(solver.QueryTopK(seed, topk).ok());
+  EXPECT_EQ(tasks->value(), 0u) << "QueryTopK";
+
+  tasks->Reset();
+  std::vector<MultiQueryItem> items(seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i) items[i].seed = seeds[i];
+  std::vector<MultiQueryResult> results;
+  ASSERT_TRUE(solver.QueryMulti(items, &results).ok());
+  for (const MultiQueryResult& r : results) ASSERT_TRUE(r.status.ok());
+  EXPECT_EQ(tasks->value(), 0u) << "QueryMulti";
+
+  tasks->Reset();
+  BatchQueryOptions batch_options;
+  batch_options.collect_stats = false;
+  auto batch = BatchQueryEngine(solver, batch_options).Run(seeds);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_GT(tasks->value(), 0u) << "BatchQueryEngine";
   SetMetricsEnabled(false);
 }
 

@@ -115,9 +115,9 @@ const CommandHelp kCommands[] = {
      "                     --engine=mc)\n"
      "  --seed-node=ID     single seed: print its top-k ranking\n"
      "  --seeds-file=FILE  batch mode: one seed id per line ('#' comments\n"
-     "                     and blank lines ignored), answered concurrently\n"
-     "                     over the thread pool (--threads) with reused\n"
-     "                     per-slot solver workspaces\n"
+     "                     and blank lines ignored). --threads seeds are\n"
+     "                     answered at a time, each on one worker thread\n"
+     "                     with its own reused solver workspace\n"
      "  --topk=K           ranking length (default 10)\n"
      "  --top-k=K          top-k QUERY mode: answer with the k best nodes\n"
      "                     other than the seed.\n"
@@ -306,10 +306,11 @@ const CommandHelp kCommands[] = {
 
 const char kGlobalFlagsHelp[] =
     "global flags:\n"
-    "  --threads=N           worker threads for parallel kernels and batch\n"
-    "                        queries; 1 = serial, default = BEPI_THREADS or\n"
-    "                        all hardware threads. Results are bit-identical\n"
-    "                        at any thread count.\n"
+    "  --threads=N           worker threads for --seeds-file batches and\n"
+    "                        Monte-Carlo walks; 1 = serial, default =\n"
+    "                        BEPI_THREADS or all hardware threads. A single\n"
+    "                        query always runs on its calling thread.\n"
+    "                        Results are bit-identical at any thread count.\n"
     "  --kernel=MODE         query-kernel index path: auto (default;\n"
     "                        compact 32-bit indices when the model fits),\n"
     "                        wide (64-bit), compact (force; falls back to\n"

@@ -72,17 +72,17 @@
 #     the source tree.
 #
 # The "thread" configuration is narrower than the others: it builds only
-# the concurrency-sensitive tests (test_metrics, test_trace,
-# test_parallel, test_trisolve, test_kernel, test_cancel, test_mc,
-# test_topk, test_server, test_cache, test_flightrec, test_promtext)
-# under TSan and runs them directly with BEPI_THREADS=4 — the registry's
-# sharded counters, the per-thread trace buffers, the work-stealing pool
-# and its fork handling, the pooled SpMV, mid-solve cancellation, the
-# Monte-Carlo walk engine's atomic visit counters, the batch engine's
-# parallel top-k slots, the query server's worker pool, the score
-# cache's LRU under concurrent readers/writers, the flight recorder's
-# seqlock rings and the concurrent Prometheus render are where new data
-# races would land.
+# the tests that start threads (test_metrics, test_trace, test_parallel,
+# test_cancel, test_mc, test_topk, test_server, test_cache,
+# test_flightrec, test_promtext) under TSan and runs them directly with
+# BEPI_THREADS=4 — the registry's sharded counters, the per-thread trace
+# buffers, the batch/MC executor and its fork handling, mid-solve
+# cancellation, the Monte-Carlo walk engine's atomic visit counters, the
+# batch engine's parallel top-k slots, the query server's worker pool,
+# the score cache's LRU under concurrent readers/writers, the flight
+# recorder's seqlock rings and the concurrent Prometheus render are where
+# new data races would land. A single query runs on its calling thread,
+# so the numeric kernels have no concurrency of their own to race.
 #
 # Usage: tools/ci.sh [default|address|undefined|thread ...]
 #   With no arguments all four configurations run.
@@ -879,14 +879,13 @@ for config in "${configs[@]}"; do
   echo "=== [$config] configure ==="
   cmake -B "$build_dir" -S . -DBEPI_SANITIZE="$sanitize" >/dev/null
   if [ "$config" = thread ]; then
-    # TSan pass: the telemetry tests (sharded registry, per-thread trace
-    # buffers), the parallel layer (work-stealing pool, TaskGroup,
-    # batched queries, fork handling) and the pooled kernel layer (SpMV,
-    # reductions) are the concurrency-bearing surface. A 4-thread pool
-    # makes them race even on a smaller host.
-    tsan_tests=(test_metrics test_trace test_parallel test_trisolve
-      test_kernel test_cancel test_mc test_topk test_server test_cache
-      test_flightrec test_promtext)
+    # TSan pass: every test that starts threads — telemetry (sharded
+    # registry, per-thread trace buffers), the executor (TaskGroup,
+    # batched queries, MC walk batches, fork handling), cancellation, the
+    # server and its cache, the flight recorder and the Prometheus
+    # render. A 4-thread pool makes them race even on a smaller host.
+    tsan_tests=(test_metrics test_trace test_parallel test_cancel test_mc
+      test_topk test_server test_cache test_flightrec test_promtext)
     echo "=== [$config] build (${tsan_tests[*]}) ==="
     cmake --build "$build_dir" -j "$jobs" --target "${tsan_tests[@]}"
     echo "=== [$config] test (BEPI_THREADS=4) ==="
